@@ -29,16 +29,6 @@ _FIELD = re.compile(r"<([^<>]+)>")
 
 GENESIS_DIGEST = b"\x00" * 32
 
-#: Optional masking rules for common variable shapes (numbers, hex ids,
-#: IP-like tokens). Schemas default to no masking; pass these explicitly.
-RECOMMENDED_MASK_RULES = [
-    (r"blk_-?\d+", "<*>"),
-    (r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}(:\d+)?", "<*>"),
-    (r"0x[0-9a-fA-F]+", "<*>"),
-    (r"(?<![\w.])\d+(?![\w.])", "<*>"),
-]
-
-
 @dataclass
 class HeaderSchema:
     """Compiled header layout: field names, line pattern, masking rules."""
@@ -104,10 +94,21 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
         else:
             regex.write(f"(?P<{part}>\\S+)")
     regex.write("$")
-    compiled_masks = [(re.compile(p), repl) for p, repl in mask_rules]
+    try:
+        pattern = re.compile(regex.getvalue())
+    except re.error as exc:
+        raise MalformedFormat(f"bad field name in {format_template!r}: {exc}") from exc
+    compiled_masks = []
+    for rule in mask_rules:
+        try:
+            p, repl = rule
+            pat = re.compile(p)
+            pat.sub(repl, "")  # parses the replacement's group references
+        except (re.error, TypeError, ValueError) as exc:
+            raise MalformedFormat(f"bad mask rule {rule!r}: {exc}") from exc
+        compiled_masks.append((pat, repl))
     return HeaderSchema(format_template=format_template, fields=names,
-                        pattern=re.compile(regex.getvalue()),
-                        mask_rules=compiled_masks)
+                        pattern=pattern, mask_rules=compiled_masks)
 
 
 def preprocess(line: str, schema: HeaderSchema, line_id: int = 1) -> LogRecord:
@@ -250,10 +251,6 @@ class ChainStore:
 
     def verify(self) -> VerificationReport:
         return verify_chain(self.path)
-
-
-def append_entry(store: ChainStore, record: LogRecord) -> ChainedEntry:
-    return store.append(record)
 
 
 def verify_chain(path) -> VerificationReport:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import logconformal
 from logconformal.cli import main
 from logconformal.evalharness import IIOT_PROFILE
 
@@ -18,6 +23,16 @@ def _config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def _run_cli(*argv):
+    """Run the CLI in a child process, importing the package this test uses."""
+    pkg_dir = str(Path(logconformal.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in (pkg_dir, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "logconformal.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
 
 
 @pytest.fixture
@@ -62,6 +77,20 @@ class TestTrain:
         tmp_path, cfg = workdir
         assert main(["train", "--config", str(cfg),
                      "--input", str(tmp_path / "nope.log")]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"format_template": "<Sys-Id> <Content>"},
+        {"format_template": "<Content>", "mask_rules": [["(unclosed", "<*>"]]},
+    ])
+    def test_bad_schema_is_config_error(self, tmp_path, override):
+        train = tmp_path / "train.log"
+        train.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+        cfg = _config(tmp_path, **override)
+        proc = _run_cli("train", "--config", str(cfg), "--input", str(train),
+                        "--model", str(tmp_path / "m.bundle"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_empty_training_file_is_data_error(self, workdir):
         tmp_path, cfg = workdir

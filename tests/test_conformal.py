@@ -1,17 +1,21 @@
+import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logconformal.conformal import (CalibrationModel, bundle_to_bytes,
+from logconformal import nonconformity
+from logconformal.cli import main
+from logconformal.conformal import (ALL_ZERO, CalibrationModel, bundle_to_bytes,
                                     calibrate, load_bundle, pvalue,
                                     pvalues_for, save_bundle)
 from logconformal.errors import (BundleError, EmptyCorpus, EmptyTemplateSet,
                                  UnknownTemplate)
+from logconformal.nonconformity import score_against_set, weighted_score
 from logconformal.parsers import fit
-from logconformal.templates import EventTemplate, TemplateSet
+from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
 from conftest import make_record
 
@@ -140,6 +144,106 @@ class TestPValuesFor:
         assert all(0.0 <= p <= 1.0 for p in pset.pvalues.values())
 
 
+_RESERVOIRS = st.one_of(
+    st.just([]),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=0, max_value=3), min_size=1, max_size=6))
+_TEMPLATES = st.lists(
+    st.tuples(st.sampled_from(["T1", "T2", "T3", "T10", "T11"]),
+              st.lists(st.sampled_from(["a", "b", WILDCARD]), max_size=4),
+              _RESERVOIRS),
+    min_size=1, max_size=5, unique_by=lambda t: t[0])
+_RECORD = st.lists(st.sampled_from(["a", "b", "c", WILDCARD]), max_size=6)
+_TIED = [("T2", ["a", WILDCARD], [0.0]), ("T10", ["a", "b"], [0.0]),
+         ("T3", ["a"], [0.0, 0.4])]
+
+
+def _dp_model(templates):
+    ts = TemplateSet(parser_name="drain", parser_params={})
+    for tid, tokens, _ in templates:
+        ts.templates.append(EventTemplate(template_id=tid, tokens=tuple(tokens)))
+    calib = {tid: sorted(scores) for tid, _, scores in templates}
+    return CalibrationModel(parser_name="drain", template_set=ts, calib=calib,
+                            total_count=sum(map(len, calib.values())))
+
+
+class TestPruningMatchesDP:
+    """The p-values and calibration hits that skip the edit-distance DP equal
+    the ones the DP gives, for every reservoir class."""
+
+    @given(_TEMPLATES, _RECORD)
+    @example(_TIED, ["a", "b"])
+    @settings(max_examples=300, deadline=None)
+    def test_pvalues_for(self, templates, tokens):
+        model = _dp_model(templates)
+        rec = make_record(1, tokens)
+        expected = {t.template_id: pvalue(model, t.template_id,
+                                          weighted_score(t.tokens, rec))
+                    for t in model.template_set.templates}
+        assert pvalues_for(model, rec).pvalues == expected
+
+    @given(_TEMPLATES, _RECORD)
+    @example(_TIED, ["a", "b"])
+    @settings(max_examples=300, deadline=None)
+    def test_calibrate(self, templates, tokens):
+        ts = _dp_model(templates).template_set
+        rec = make_record(1, tokens)
+        scored = score_against_set(ts, rec)
+        calib = calibrate(ts, [rec]).calib
+        assert calib == {t.template_id: [scored.min_score] if t.template_id == scored.argmin
+                         else [] for t in ts.templates}
+
+    def test_tied_matches_go_to_smallest_id_as_string(self):
+        ts = _dp_model(_TIED).template_set
+        assert calibrate(ts, [make_record(1, ["a", "b"])]).calib["T10"] == [0.0]
+
+    def test_long_record_reaches_the_dp(self, monkeypatch):
+        runs = []
+        edit_script = nonconformity.edit_script
+
+        def counted(a, b):
+            runs.append(len(b))
+            return edit_script(a, b)
+        monkeypatch.setattr(nonconformity, "edit_script", counted)
+        model = _dp_model([("T1", ["a"], [0.0]), ("T2", ["a", "b"], [])])
+        rec = make_record(1, ["a"] + ["b"] * 1400)
+        assert pvalues_for(model, rec).pvalues == {"T1": 0.0, "T2": 0.0}
+        assert runs == [1401]  # T1 only: T2's empty reservoir needs no score
+        scored = score_against_set(model.template_set, rec)
+        runs.clear()
+        assert calibrate(model.template_set, [rec]).calib[scored.argmin] == \
+            [scored.min_score]
+        assert runs == [1401, 1401]
+
+
+def _largest(model_doc):
+    return max(model_doc["calibration"].values(), key=len)
+
+
+def _corrupt(doc, how):
+    """Make a bundle document inconsistent, in place."""
+    model_doc = doc["models"][1]
+    calib = model_doc["calibration"]
+    if how == "missing key":
+        del calib[model_doc["templates"][0][0]]
+    elif how == "extra key":
+        calib["T999"] = []
+    elif how == "unsorted":
+        _largest(model_doc)[0] = 0.5
+    elif how == "negative":
+        _largest(model_doc)[0] = -0.5
+    elif how == "infinite":
+        _largest(model_doc)[-1] = math.inf
+    elif how == "nan":
+        _largest(model_doc)[-1] = math.nan
+    elif how == "miscounted":
+        model_doc["total_count"] += 1
+    elif how == "not a dict":
+        model_doc["calibration"] = []
+    elif how == "no format":
+        del doc["schema"]["format_template"]
+
+
 class TestBundle:
     def _models(self):
         records = [make_record(i + 1, ["evt", str(i % 3), "ok"]) for i in range(30)]
@@ -183,3 +287,28 @@ class TestBundle:
     def test_missing_bundle_rejected(self, tmp_path):
         with pytest.raises(BundleError):
             load_bundle(tmp_path / "absent.bundle")
+
+    @pytest.mark.parametrize("how", ["missing key", "extra key", "unsorted",
+                                     "negative", "infinite", "nan",
+                                     "miscounted", "not a dict", "no format"])
+    def test_inconsistent_bundle_rejected(self, tmp_path, how):
+        models = self._models()
+        doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))
+        _corrupt(doc, how)
+        path = tmp_path / "bad.bundle"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(BundleError):
+            load_bundle(path)
+        log = tmp_path / "in.log"
+        log.write_text("evt 1 ok\n", encoding="utf-8")
+        assert main(["detect", "--model", str(path), "--input", str(log),
+                     "--out", str(tmp_path / "alarms.jsonl")]) == 4
+
+    def test_signed_zero_reservoir_loads(self, tmp_path):
+        models = self._models()
+        doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))
+        _largest(doc["models"][0])[0] = -0.0
+        path = tmp_path / "zero.bundle"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, _ = load_bundle(path)
+        assert ALL_ZERO in loaded[0].classes.values()

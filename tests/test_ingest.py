@@ -38,10 +38,21 @@ class TestCompileSchema:
         "<Date> <Time>",                 # no Content
         "<Content> <Date>",              # Content not last
         "<Date> <Date> <Content>",       # duplicate
+        "<Sys-Id> <Content>",            # not a regex group name
     ])
     def test_malformed(self, bad):
         with pytest.raises(MalformedFormat):
             compile_schema(bad)
+
+    @pytest.mark.parametrize("rule", [
+        ("(unclosed", "<*>"),            # pattern does not compile
+        (r"\d+", r"\9"),                 # replacement names a missing group
+        (r"\d+", 5),                     # replacement is not a string
+        (r"\d+",),                       # not a (pattern, replacement) pair
+    ])
+    def test_malformed_mask_rule(self, rule):
+        with pytest.raises(MalformedFormat):
+            compile_schema("<Content>", [rule])
 
 
 class TestPreprocess:
