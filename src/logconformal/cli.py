@@ -57,7 +57,9 @@ def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
     wanted = cfg.get("parsers")
     if not wanted:
         return [(name, parsers.default_params(name)) for name in parsers.PARSER_NAMES]
-    return [(name, parsers.params_from_dict(name, overrides or {}))
+    if not isinstance(wanted, dict):
+        raise _ConfigError("parsers must be an object of name -> parameters")
+    return [(name, parsers.params_from_dict(name, overrides))
             for name, overrides in wanted.items()]
 
 
@@ -126,9 +128,9 @@ def cmd_train(args) -> int:
 
     chain_path = cfg.get("paths", {}).get("chain")
     if chain_path:
-        store = ChainStore(chain_path)
-        for rec in records:
-            store.append(rec)
+        with ChainStore(chain_path) as store:
+            for rec in records:
+                store.append(rec)
 
     models = _train_models(cfg, records)
     model_path = args.model or args.out or cfg.get("paths", {}).get("model", "model.bundle")

@@ -15,7 +15,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import BundleError, EmptyCorpus, EmptyTemplateSet, UnknownTemplate
+from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, MalformedFormat,
+                     UnknownTemplate)
+from .ingest import compile_schema
 from .nonconformity import score_against_set, weighted_score
 from .templates import EventTemplate, TemplateSet, list_templates
 
@@ -205,7 +207,11 @@ def save_bundle(models: list[CalibrationModel], schema_doc: dict, path) -> None:
 
 
 def load_bundle(path) -> tuple[list[CalibrationModel], dict]:
-    """Load a bundle; raises :class:`BundleError` when unusable."""
+    """Load a bundle; raises :class:`BundleError` when unusable.
+
+    The stored header schema is compiled here, so a bad format template or
+    mask rule is reported as a bundle fault.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -215,8 +221,9 @@ def load_bundle(path) -> tuple[list[CalibrationModel], dict]:
     try:
         models = [_model_from_doc(m) for m in doc["models"]]
         schema_doc = doc["schema"]
-        if not isinstance(schema_doc["format_template"], str):
-            raise ValueError("schema format_template is not a string")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        compile_schema(schema_doc["format_template"],
+                       [tuple(r) for r in schema_doc.get("mask_rules", [])])
+    except (AttributeError, KeyError, TypeError, ValueError,
+            MalformedFormat) as exc:
         raise BundleError(f"malformed bundle {path}: {exc}") from exc
     return models, schema_doc

@@ -66,26 +66,32 @@ def detect_batch(models: list[CalibrationModel], records,
     """One verdict per record, order preserved.
 
     Per-record failures are captured on the verdict's ``error`` field with a
-    fail-closed anomaly label instead of aborting the batch. Identical token
-    sequences share one p-value computation.
+    fail-closed anomaly label instead of aborting the batch; a failure is
+    never cached, so every record of a failing token sequence carries it.
+    Identical token sequences share one p-value computation and one decision:
+    their verdicts differ only in ``line_id`` and share one ``prediction_set``,
+    which callers must treat as read-only.
     """
     if not models:
         raise NoParsers("no trained models")
-    cache: dict[tuple[str, ...], list[PValueSet]] = {}
+    decided: dict[tuple[str, ...], Verdict] = {}
     verdicts = []
     for rec in records:
-        try:
-            psets = cache.get(rec.tokens)
-            if psets is None:
-                psets = pvalue_sets_for(models, rec)
-                cache[rec.tokens] = psets
-            verdicts.append(decide(psets, cfg, line_id=rec.line_id))
-        except NoParsers:
-            raise
-        except Exception as exc:  # per-record error channel
-            verdicts.append(Verdict(line_id=rec.line_id, label=ANOMALY,
-                                    prediction_set={}, max_p=0.0,
-                                    error=str(exc)))
+        shared = decided.get(rec.tokens)
+        if shared is None:
+            try:
+                shared = decide(pvalue_sets_for(models, rec), cfg)
+            except NoParsers:
+                raise
+            except Exception as exc:  # per-record error channel
+                verdicts.append(Verdict(line_id=rec.line_id, label=ANOMALY,
+                                        prediction_set={}, max_p=0.0,
+                                        error=str(exc)))
+                continue
+            decided[rec.tokens] = shared
+        verdicts.append(Verdict(line_id=rec.line_id, label=shared.label,
+                                prediction_set=shared.prediction_set,
+                                max_p=shared.max_p))
     return verdicts
 
 

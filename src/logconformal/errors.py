@@ -46,7 +46,7 @@ class LabelMismatch(LogConformalError):
 
 
 class InvalidSpec(LogConformalError):
-    """Corpus synthesis parameters are inconsistent."""
+    """Corpus synthesis or parser parameters are invalid or inconsistent."""
 
 
 class BundleError(LogConformalError):

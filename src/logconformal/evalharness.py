@@ -10,6 +10,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,38 +349,36 @@ def significance_sweep(models: list[CalibrationModel], corpus: LabeledCorpus,
     """Evaluate each parser alone and the ensemble at every epsilon.
 
     A parser finds a record normal iff its maximal p-value reaches epsilon,
-    so per-record per-parser maxima are computed once and reused across the
-    whole grid.
+    so each distinct token sequence's per-parser maxima are computed once,
+    and test lines are tallied by (maxima, truth) before the grid is walked:
+    every cell costs one pass over the tally, not over the lines.
     """
-    test = corpus.test_records
-    max_p: dict[str, list[float]] = {m.parser_name: [] for m in models}
-    cache: dict[tuple, dict[str, float]] = {}
-    for rec in test:
-        per_parser = cache.get(rec.tokens)
-        if per_parser is None:
-            per_parser = {m.parser_name: pvalues_for(m, rec).max_p() for m in models}
-            cache[rec.tokens] = per_parser
-        for name, value in per_parser.items():
-            max_p[name].append(value)
+    max_p_of: dict[tuple[str, ...], tuple[float, ...]] = {}
+    tally: Counter[tuple[tuple[float, ...], bool]] = Counter()
+    for rec in corpus.test_records:
+        max_p = max_p_of.get(rec.tokens)
+        if max_p is None:
+            max_p = tuple(pvalues_for(m, rec).max_p() for m in models)
+            max_p_of[rec.tokens] = max_p
+        tally[max_p, corpus.labels[rec.line_id] == ANOMALY] += 1
 
-    truth = [corpus.labels[rec.line_id] == ANOMALY for rec in test]
-    configurations = [(m.parser_name, [m.parser_name]) for m in models]
-    configurations.append(("ensemble", [m.parser_name for m in models]))
+    configurations = [(m.parser_name, [k]) for k, m in enumerate(models)]
+    configurations.append(("ensemble", list(range(len(models)))))
 
     rows = []
     for config_name, members in configurations:
         for eps in eps_grid:
             tp = fp = fn = tn = 0
-            for idx, is_anomaly in enumerate(truth):
-                alarmed = all(max_p[name][idx] < eps for name in members)
+            for (max_p, is_anomaly), count in tally.items():
+                alarmed = all(max_p[k] < eps for k in members)
                 if alarmed and is_anomaly:
-                    tp += 1
+                    tp += count
                 elif alarmed:
-                    fp += 1
+                    fp += count
                 elif is_anomaly:
-                    fn += 1
+                    fn += count
                 else:
-                    tn += 1
+                    tn += count
             rows.append(SweepRow(configuration=config_name, epsilon=eps,
                                  metrics=Metrics(tp=tp, fp=fp, fn=fn, tn=tn)))
     return rows

@@ -189,21 +189,36 @@ def _entry_digest(index: int, payload_digest: bytes, prev_digest: bytes) -> byte
 
 
 class ChainStore:
-    """Append-only hash chain over serialized records. Single writer."""
+    """Append-only hash chain over serialized records. Single writer.
+
+    The store keeps one append-mode handle on its file until :meth:`close`
+    (or the end of a ``with`` block); each entry is still written in one
+    buffer and flushed before :meth:`append` returns.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self._next_index = 0
         self._prev_digest = GENESIS_DIGEST
         if self.path.exists() and self.path.stat().st_size > 0:
-            report = self.verify()
+            report, self._prev_digest = _scan_chain(self.path.read_bytes())
             if not report.valid:
                 raise AppendFailed(f"existing store fails verification at "
                                    f"entry {report.first_bad_index}")
             self._next_index = report.entries
-            if report.entries:
-                *_, last = self.entries()
-                self._prev_digest = last.entry_digest
+        try:
+            self._fh = open(self.path, "ab")
+        except OSError as exc:
+            raise AppendFailed(str(exc)) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
 
     def append(self, record: LogRecord) -> ChainedEntry:
         """Append one record; the entry is written in a single buffer."""
@@ -218,9 +233,8 @@ class ChainStore:
         blob = struct.pack("<Q", entry.index) + payload + entry.prev_digest + entry.entry_digest
         buf = struct.pack("<I", len(blob)) + blob
         try:
-            with open(self.path, "ab") as fh:
-                fh.write(buf)
-                fh.flush()
+            self._fh.write(buf)
+            self._fh.flush()
         except OSError as exc:
             raise AppendFailed(str(exc)) from exc
         self._next_index += 1
@@ -231,26 +245,49 @@ class ChainStore:
         """Yield raw (parsed) entries without verifying digests."""
         if not self.path.exists():
             return
-        data = self.path.read_bytes()
-        pos = 0
-        while pos < len(data):
-            if pos + 4 > len(data):
-                return
-            (length,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            blob = data[pos:pos + length]
-            if len(blob) < length or length < 8 + 64:
-                return
-            pos += length
-            (index,) = struct.unpack_from("<Q", blob, 0)
-            payload = blob[8:-64]
+        for _end, index, payload, prev_digest, entry_digest in \
+                _frames(self.path.read_bytes()):
             yield ChainedEntry(index=index,
                                payload_digest=hashlib.sha256(payload).digest(),
-                               prev_digest=blob[-64:-32],
-                               entry_digest=blob[-32:])
+                               prev_digest=prev_digest,
+                               entry_digest=entry_digest)
 
     def verify(self) -> VerificationReport:
         return verify_chain(self.path)
+
+
+def _frames(data: bytes):
+    """Yield (end offset, index, payload, prev digest, entry digest) per frame.
+
+    Stops before the first frame whose length field is cut short, is too
+    small to hold the fixed fields, or runs past the end of ``data``.
+    """
+    pos = 0
+    while pos + 4 <= len(data):
+        (length,) = struct.unpack_from("<I", data, pos)
+        end = pos + 4 + length
+        if length < 8 + 64 or end > len(data):
+            return
+        (index,) = struct.unpack_from("<Q", data, pos + 4)
+        yield end, index, data[pos + 12:end - 64], data[end - 64:end - 32], data[end - 32:end]
+        pos = end
+
+
+def _scan_chain(data: bytes) -> tuple[VerificationReport, bytes]:
+    """Verify a whole chain file's bytes; also return the last good digest."""
+    index = 0
+    prev = GENESIS_DIGEST
+    end = 0
+    for end, stored_index, payload, prev_digest, entry_digest in _frames(data):
+        expected = _entry_digest(stored_index, hashlib.sha256(payload).digest(),
+                                 prev_digest)
+        if stored_index != index or prev_digest != prev or entry_digest != expected:
+            return VerificationReport(False, index, index), prev
+        prev = entry_digest
+        index += 1
+    if end != len(data):  # a torn or malformed frame, or trailing bytes
+        return VerificationReport(False, index, index), prev
+    return VerificationReport(valid=True, first_bad_index=None, entries=index), prev
 
 
 def verify_chain(path) -> VerificationReport:
@@ -263,27 +300,4 @@ def verify_chain(path) -> VerificationReport:
     path = Path(path)
     if not path.exists():
         return VerificationReport(valid=True, first_bad_index=None, entries=0)
-    data = path.read_bytes()
-    pos = 0
-    index = 0
-    prev = GENESIS_DIGEST
-    while pos < len(data):
-        if pos + 4 > len(data):
-            return VerificationReport(False, index, index)
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if length < 8 + 64 or pos + length > len(data):
-            return VerificationReport(False, index, index)
-        blob = data[pos:pos + length]
-        pos += length
-        (stored_index,) = struct.unpack_from("<Q", blob, 0)
-        payload = blob[8:-64]
-        prev_digest = blob[-64:-32]
-        entry_digest = blob[-32:]
-        expected = _entry_digest(stored_index, hashlib.sha256(payload).digest(),
-                                 prev_digest)
-        if stored_index != index or prev_digest != prev or entry_digest != expected:
-            return VerificationReport(False, index, index)
-        prev = entry_digest
-        index += 1
-    return VerificationReport(valid=True, first_bad_index=None, entries=index)
+    return _scan_chain(path.read_bytes())[0]

@@ -9,9 +9,9 @@ all.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-from ..errors import EmptyCorpus, EmptyTemplateSet, UnknownParser
+from ..errors import EmptyCorpus, EmptyTemplateSet, InvalidSpec, UnknownParser
 from ..nonconformity import score_against_set
 from ..templates import EventTemplate, TemplateSet, list_templates
 from .drain import fit_drain
@@ -136,9 +136,32 @@ def default_params(parser_name: str) -> ParserParams:
 
 
 def params_from_dict(parser_name: str, overrides: dict | None) -> ParserParams:
+    """Build a parser's params from config overrides.
+
+    Raises :class:`InvalidSpec` for an unknown key, a value whose type
+    differs from the default's (an int is accepted where a float is
+    expected), or a value out of range.
+    """
     if parser_name not in _REGISTRY:
         raise UnknownParser(parser_name)
-    return _REGISTRY[parser_name][0](**(overrides or {}))
+    params_cls = _REGISTRY[parser_name][0]
+    overrides = overrides or {}
+    if not isinstance(overrides, dict):
+        raise InvalidSpec(f"{parser_name} parameters must be an object")
+    defaults = {f.name: f.default for f in fields(params_cls)}
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise InvalidSpec(f"unknown {parser_name} parameter {key!r}")
+        default = defaults[key]
+        kinds = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) != isinstance(default, bool) \
+                or not isinstance(value, kinds):
+            raise InvalidSpec(f"{parser_name} parameter {key!r} must be "
+                              f"{type(default).__name__}, got {value!r}")
+    try:
+        return params_cls(**overrides)
+    except ValueError as exc:
+        raise InvalidSpec(f"{parser_name}: {exc}") from exc
 
 
 def fit(parser_name: str, params: ParserParams | None, records) -> TemplateSet:

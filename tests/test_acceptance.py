@@ -254,12 +254,12 @@ def test_criterion_6_conformal_validity():
 
 def test_criterion_7_tamper_evidence(tmp_path):
     path = tmp_path / "audit.chain"
-    store = ChainStore(path)
-    for i in range(100):
-        store.append(LogRecord(line_id=i + 1, headers={"SysId": f"SYS{i % 5}"},
-                               content=f"heartbeat sequence {i} acknowledged",
-                               tokens=("heartbeat", "sequence", str(i),
-                                       "acknowledged")))
+    with ChainStore(path) as store:
+        for i in range(100):
+            store.append(LogRecord(line_id=i + 1, headers={"SysId": f"SYS{i % 5}"},
+                                   content=f"heartbeat sequence {i} acknowledged",
+                                   tokens=("heartbeat", "sequence", str(i),
+                                           "acknowledged")))
     assert verify_chain(path).valid
 
     data = path.read_bytes()

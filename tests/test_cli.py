@@ -92,6 +92,23 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("parsers", [
+        {"drain": {"bogus": 1}},
+        {"drain": {"depth": "x"}},
+        {"drain": {"depth": 2}},
+        {"drain": 5},
+        ["drain"],
+    ])
+    def test_bad_parser_params_is_config_error(self, tmp_path, parsers):
+        train = tmp_path / "train.log"
+        train.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+        cfg = _config(tmp_path, parsers=parsers)
+        proc = _run_cli("train", "--config", str(cfg), "--input", str(train),
+                        "--model", str(tmp_path / "m.bundle"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
     def test_empty_training_file_is_data_error(self, workdir):
         tmp_path, cfg = workdir
         empty = tmp_path / "empty.log"
@@ -180,6 +197,19 @@ class TestDetect:
         bad.write_text("garbage", encoding="utf-8")
         assert main(["detect", "--config", str(cfg), "--model", str(bad),
                      "--input", str(tmp_path / "corpus" / "test.log")]) == 4
+
+    def test_bad_bundle_schema_is_bundle_error(self, trained):
+        tmp_path, _, bundle = trained
+        doc = json.loads(bundle.read_text(encoding="utf-8"))
+        doc["schema"]["format_template"] = "<Sys-Id> <Content>"
+        bad = tmp_path / "bad-schema.bundle"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli("detect", "--model", str(bad),
+                        "--input", str(tmp_path / "corpus" / "test.log"),
+                        "--out", str(tmp_path / "alarms.jsonl"))
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_missing_model_flag(self, workdir):
         tmp_path, cfg = workdir

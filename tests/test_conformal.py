@@ -242,6 +242,10 @@ def _corrupt(doc, how):
         model_doc["calibration"] = []
     elif how == "no format":
         del doc["schema"]["format_template"]
+    elif how == "bad format":
+        doc["schema"]["format_template"] = "<Sys-Id> <Content>"
+    elif how == "bad mask rule":
+        doc["schema"]["mask_rules"] = [["(unclosed", "<*>"]]
 
 
 class TestBundle:
@@ -290,7 +294,8 @@ class TestBundle:
 
     @pytest.mark.parametrize("how", ["missing key", "extra key", "unsorted",
                                      "negative", "infinite", "nan",
-                                     "miscounted", "not a dict", "no format"])
+                                     "miscounted", "not a dict", "no format",
+                                     "bad format", "bad mask rule"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))

@@ -1,14 +1,20 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logconformal import detector
 from logconformal.conformal import PValueSet, calibrate
 from logconformal.detector import (ANOMALY, NORMAL, DetectorConfig, Verdict,
-                                   decide, detect_batch, render_alarm_line)
+                                   decide, detect_batch, pvalue_sets_for,
+                                   render_alarm_line)
 from logconformal.errors import NoParsers
 from logconformal.parsers import fit
+from logconformal.templates import WILDCARD
 
-from conftest import make_record
+from conftest import graded_models, make_record
 
 
 def _pset(name, pvalues):
@@ -68,35 +74,37 @@ class TestDecide:
             DetectorConfig(epsilon=1.5)
 
 
+def _trained_models():
+    rows = [["pump", "ok", str(i % 4)] for i in range(40)] + \
+           [["valve", "shut"] for _ in range(20)]
+    records = [make_record(i + 1, r) for i, r in enumerate(rows)]
+    models = []
+    for name in ("drain", "spell"):
+        ts = fit(name, None, records)
+        models.append(calibrate(ts, records))
+    return models
+
+
 class TestDetectBatch:
-    def _models(self):
-        rows = [["pump", "ok", str(i % 4)] for i in range(40)] + \
-               [["valve", "shut"] for _ in range(20)]
-        records = [make_record(i + 1, r) for i, r in enumerate(rows)]
-        models = []
-        for name in ("drain", "spell"):
-            ts = fit(name, None, records)
-            models.append(calibrate(ts, records))
-        return models
 
     def test_empty_records(self):
-        assert detect_batch(self._models(), [], DetectorConfig(epsilon=0.27)) == []
+        assert detect_batch(_trained_models(), [], DetectorConfig(epsilon=0.27)) == []
 
     def test_order_preserved_and_counts(self):
-        models = self._models()
+        models = _trained_models()
         batch = [make_record(100 + i, ["pump", "ok", str(i)]) for i in range(5)]
         verdicts = detect_batch(models, batch, DetectorConfig(epsilon=0.27))
         assert [v.line_id for v in verdicts] == [100, 101, 102, 103, 104]
 
     def test_known_record_is_normal(self):
-        models = self._models()
+        models = _trained_models()
         verdicts = detect_batch(models, [make_record(777, ["valve", "shut"])],
                                 DetectorConfig(epsilon=0.4))
         assert verdicts[0].label == NORMAL
         assert verdicts[0].max_p == 1.0
 
     def test_alien_record_alarms(self):
-        models = self._models()
+        models = _trained_models()
         verdicts = detect_batch(models,
                                 [make_record(778, ["totally", "unrelated", "noise", "here"])],
                                 DetectorConfig(epsilon=0.27))
@@ -107,7 +115,7 @@ class TestDetectBatch:
             detect_batch([], [make_record(1, ["a"])], DetectorConfig(epsilon=0.1))
 
     def test_per_record_error_channel(self, monkeypatch):
-        models = self._models()
+        models = _trained_models()
 
         def boom(model, record):
             raise RuntimeError("scoring exploded")
@@ -117,6 +125,91 @@ class TestDetectBatch:
                                 DetectorConfig(epsilon=0.27))
         assert verdicts[0].error == "scoring exploded"
         assert verdicts[0].label == ANOMALY  # fail closed
+
+
+_TOKENS = st.lists(st.sampled_from(["pump", "ok", "valve", "shut", "alarm",
+                                    "x", WILDCARD]),
+                   min_size=1, max_size=4).map(tuple)
+
+
+def _reference(models, batch, cfg):
+    """The per-line definition: score and decide every record on its own."""
+    return [decide(pvalue_sets_for(models, r), cfg, r.line_id) for r in batch]
+
+
+class TestDetectBatchPerSequence:
+    """detect_batch decides once per distinct token sequence; its verdicts
+    must equal deciding every line on its own."""
+
+    @given(st.lists(_TOKENS, min_size=1, max_size=5),
+           st.lists(st.integers(min_value=0, max_value=4), max_size=30),
+           st.sampled_from([0.0, 0.1, 0.27, 0.5, 0.75, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_line_reference(self, pool, picks, eps):
+        models = graded_models()
+        batch = [make_record(100 + i, pool[k % len(pool)])
+                 for i, k in enumerate(picks)]
+        cfg = DetectorConfig(epsilon=eps)
+        assert detect_batch(models, batch, cfg) == _reference(models, batch, cfg)
+
+    def test_trained_models_equal_reference(self):
+        models = _trained_models()
+        rows = [["pump", "ok", "1"], ["valve", "shut"], ["pump", "ok", "1"],
+                ["totally", "unrelated"], ["valve", "shut"], ["pump", "ok", "9"],
+                ["totally", "unrelated"], ["pump", "ok", "1"]]
+        batch = [make_record(50 + i, r) for i, r in enumerate(rows)]
+        for eps in (0.0, 0.27, 1.0):
+            cfg = DetectorConfig(epsilon=eps)
+            assert detect_batch(models, batch, cfg) == \
+                _reference(models, batch, cfg)
+
+    def test_error_on_one_sequence_is_not_cached(self, monkeypatch):
+        models = graded_models()
+        bad = ("valve", "shut")
+        calls = Counter()
+
+        def flaky(models, record):
+            calls[record.tokens] += 1
+            if record.tokens == bad:
+                raise RuntimeError("scoring exploded")
+            return pvalue_sets_for(models, record)
+
+        monkeypatch.setattr(detector, "pvalue_sets_for", flaky)
+        rows = [bad, ("pump", "ok", "1"), bad, ("alarm", "x"),
+                ("pump", "ok", "1"), bad]
+        batch = [make_record(10 + i, r) for i, r in enumerate(rows)]
+        cfg = DetectorConfig(epsilon=0.27)
+        verdicts = detect_batch(models, batch, cfg)
+        for rec, verdict in zip(batch, verdicts):
+            if rec.tokens == bad:
+                assert verdict == Verdict(line_id=rec.line_id, label=ANOMALY,
+                                          prediction_set={}, max_p=0.0,
+                                          error="scoring exploded")
+            else:
+                assert verdict == decide(pvalue_sets_for(models, rec), cfg,
+                                         rec.line_id)
+        assert calls == {bad: 3, ("pump", "ok", "1"): 1, ("alarm", "x"): 1}
+
+    def test_patched_module_attributes_run_once_per_sequence(self, monkeypatch):
+        # The benchmark's tracer counts calls by patching these attributes;
+        # a batch that bypassed them would report zero calls without notice.
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(detector, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(detector, name, wrapper)
+
+        counting("decide")
+        counting("pvalue_sets_for")
+        rows = [("pump", "ok", "1"), ("valve", "shut"), ("alarm", "x")] * 4
+        batch = [make_record(i + 1, r) for i, r in enumerate(rows)]
+        verdicts = detect_batch(graded_models(), batch, DetectorConfig(epsilon=0.3))
+        assert len(verdicts) == 12
+        assert calls == {"decide": 3, "pvalue_sets_for": 3}
 
 
 class TestAlarmRendering:

@@ -1,14 +1,21 @@
-import pytest
+from collections import Counter
 
-from logconformal.conformal import calibrate
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logconformal.conformal import calibrate, pvalues_for
 from logconformal.detector import ANOMALY, NORMAL, Verdict
 from logconformal.errors import InvalidSpec, LabelMismatch
 from logconformal.evalharness import (DEFAULT_GRID, HDFS_PROFILE, IIOT_PROFILE,
-                                      Metrics, load_corpus, render_sweep_csv,
+                                      LabeledCorpus, Metrics, SweepRow,
+                                      load_corpus, render_sweep_csv,
                                       render_sweep_table, score_metrics,
                                       significance_sweep, synth_corpus,
                                       write_corpus)
 from logconformal.parsers import fit
+
+from conftest import graded_models, make_record
 
 
 def _verdict(line_id, label):
@@ -127,6 +134,25 @@ class TestScoreMetrics:
             score_metrics([_verdict(1, NORMAL)], {2: NORMAL})
 
 
+def _reference_sweep(models, corpus, grid):
+    """The per-line definition: every (configuration, epsilon) cell counts
+    each test line from that line's own p-values."""
+    lines = [([pvalues_for(m, rec).max_p() for m in models],
+              corpus.labels[rec.line_id] == ANOMALY)
+             for rec in corpus.test_records]
+    configurations = [(m.parser_name, [k]) for k, m in enumerate(models)]
+    configurations.append(("ensemble", list(range(len(models)))))
+    rows = []
+    for name, members in configurations:
+        for eps in grid:
+            counts = Counter((all(max_p[k] < eps for k in members), is_anomaly)
+                             for max_p, is_anomaly in lines)
+            rows.append(SweepRow(configuration=name, epsilon=eps, metrics=Metrics(
+                tp=counts[True, True], fp=counts[True, False],
+                fn=counts[False, True], tn=counts[False, False])))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def small_run():
     corpus = synth_corpus(seed=11, n_train=1500, n_test=200, n_anomalies=60)
@@ -193,6 +219,27 @@ class TestSweep:
                      if r.configuration == "ensemble" and r.epsilon == 0.4)
         assert (direct.tp, direct.fp, direct.fn, direct.tn) == \
             (swept.tp, swept.fp, swept.fn, swept.tn)
+
+    def test_equals_per_line_reference(self, small_run):
+        corpus, models, _ = small_run
+        grid = (0.0, 0.27, 0.5, 1.0)
+        assert significance_sweep(models, corpus, grid) == \
+            _reference_sweep(models, corpus, grid)
+
+    @given(st.lists(st.tuples(st.sampled_from([
+        ("pump", "ok", "1"), ("pump", "ok"), ("valve", "shut"), ("valve", "x"),
+        ("alarm", "x"), ("pump", "x", "y", "z")]), st.booleans()), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_graded_pvalues_equal_per_line_reference(self, lines):
+        records = [make_record(i + 1, tokens) for i, (tokens, _) in enumerate(lines)]
+        labels = {i + 1: ANOMALY if anomalous else NORMAL
+                  for i, (_, anomalous) in enumerate(lines)}
+        corpus = LabeledCorpus(records=records, labels=labels, train_ids=[],
+                               test_ids=sorted(labels), raw_lines=[], schema=None)
+        grid = (0.0, 0.25, 0.26, 0.5, 1.0)
+        models = graded_models()
+        assert significance_sweep(models, corpus, grid) == \
+            _reference_sweep(models, corpus, grid)
 
     def test_renderings(self, small_run):
         _, _, rows = small_run

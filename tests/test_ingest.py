@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -123,13 +124,14 @@ class TestPreprocess:
 
 
 def _store_with_entries(path, count):
-    store = ChainStore(path)
+    """Write ``count`` entries; the returned store is closed."""
     entries = []
-    for i in range(count):
-        rec = LogRecord(line_id=i + 1, headers={"SysId": f"SYS{i % 5}"},
-                        content=f"pump reading {i}",
-                        tokens=("pump", "reading", str(i)))
-        entries.append(store.append(rec))
+    with ChainStore(path) as store:
+        for i in range(count):
+            rec = LogRecord(line_id=i + 1, headers={"SysId": f"SYS{i % 5}"},
+                            content=f"pump reading {i}",
+                            tokens=("pump", "reading", str(i)))
+            entries.append(store.append(rec))
     return store, entries
 
 
@@ -172,15 +174,38 @@ class TestChainStore:
         path = tmp_path / "c.bin"
         store, entries = _store_with_entries(path, 10)
         before = [e.entry_digest for e in store.entries()]
-        store.append(LogRecord(line_id=11, headers={}, content="x", tokens=("x",)))
+        with ChainStore(path) as store:
+            store.append(LogRecord(line_id=11, headers={}, content="x", tokens=("x",)))
         after = [e.entry_digest for e in store.entries()]
         assert after[:10] == before
+
+    def test_context_manager_closes_and_keeps_bytes(self, tmp_path):
+        path = tmp_path / "c.bin"
+        with ChainStore(path) as store:
+            for i in range(3):
+                store.append(LogRecord(line_id=i + 1, headers={"SysId": f"SYS{i % 5}"},
+                                       content=f"pump reading {i}",
+                                       tokens=("pump", "reading", str(i))))
+            flushed = path.read_bytes()  # every append is on disk at once
+        with pytest.raises(ValueError):  # closed: no further appends
+            store.append(LogRecord(line_id=4, headers={}, content="z", tokens=("z",)))
+        assert path.read_bytes() == flushed
+        # The frame bytes of these three records, as every earlier version
+        # of the store wrote them.
+        assert hashlib.sha256(flushed).hexdigest() == \
+            "30ae798f4e2f4f7bded2a7ab1c425a5a29b4fddf0f19ffe3bf133d00e53492bd"
+        report = verify_chain(path)
+        assert report.valid and report.entries == 3
+        with ChainStore(path) as again:
+            again.append(LogRecord(line_id=4, headers={}, content="y", tokens=("y",)))
+        assert path.read_bytes().startswith(flushed)
+        assert verify_chain(path).entries == 4
 
     def test_reopen_continues_chain(self, tmp_path):
         path = tmp_path / "c.bin"
         _store_with_entries(path, 5)
-        store2 = ChainStore(path)
-        store2.append(LogRecord(line_id=6, headers={}, content="y", tokens=("y",)))
+        with ChainStore(path) as store2:
+            store2.append(LogRecord(line_id=6, headers={}, content="y", tokens=("y",)))
         report = verify_chain(path)
         assert report.valid and report.entries == 6
 

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logconformal.errors import EmptyCorpus, UnknownParser
-from logconformal.parsers import (DrainParams, LogClusterParams, SpellParams,
-                                  default_params, fit, match_record,
+from logconformal.errors import EmptyCorpus, InvalidSpec, UnknownParser
+from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
+                                  SpellParams, default_params, fit,
+                                  match_record, params_from_dict,
                                   register_parser)
 from logconformal.templates import (WILDCARD, EventTemplate, TemplateSet,
                                     export_templates, import_templates,
@@ -79,6 +80,36 @@ class TestFit:
     def test_untokenized_record_rejected(self):
         with pytest.raises(ValueError):
             fit("drain", None, [make_record(1, [])])
+
+
+class TestParamsFromDict:
+    def test_overrides_applied(self):
+        assert params_from_dict("drain", {"depth": 5, "sim_threshold": 0.4}) == \
+            DrainParams(depth=5, sim_threshold=0.4)
+        assert params_from_dict("spell", None) == SpellParams()
+
+    def test_int_accepted_for_float(self):
+        params = params_from_dict("iplom", {"partition_support_threshold": 0})
+        assert params == IPLoMParams(partition_support_threshold=0)
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("drain", {"bogus": 1}),
+        ("drain", {"depth": "x"}),
+        ("drain", {"depth": 4.0}),
+        ("drain", {"depth": True}),
+        ("drain", {"depth": 2}),
+        ("spell", {"lcs_threshold": "0.5"}),
+        ("spell", {"lcs_threshold": float("nan")}),
+        ("logcluster", {"min_support": 1}),
+        ("iplom", [("lower_bound", 0.1)]),
+    ])
+    def test_invalid_overrides_rejected(self, name, overrides):
+        with pytest.raises(InvalidSpec):
+            params_from_dict(name, overrides)
+
+    def test_unknown_parser(self):
+        with pytest.raises(UnknownParser):
+            params_from_dict("nope", {})
 
 
 class TestPartitionProperties:
