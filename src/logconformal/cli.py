@@ -44,13 +44,38 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _section(cfg: dict, name: str) -> dict:
+    value = cfg.get(name, {})
+    if not isinstance(value, dict):
+        raise _ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _path(cfg: dict, key: str, *flags, default=None):
+    """The first flag given, else ``paths.<key>`` of the config, else ``default``."""
+    for flag in flags:
+        if flag:
+            return flag
+    paths = _section(cfg, "paths")
+    if key not in paths:
+        return default
+    if not isinstance(paths[key], str):
+        raise _ConfigError(f"paths.{key} must be a string, got {paths[key]!r}")
+    return paths[key]
+
+
 def _schema_from_config(cfg: dict, format_override: str | None):
-    fmt = format_override or cfg.get("format_template",
-                                     evalharness.IIOT_PROFILE.format_template)
-    rules = [tuple(rule) for rule in cfg.get("mask_rules", [])]
-    if "mask_rules" not in cfg and "format_template" not in cfg and not format_override:
-        rules = list(evalharness.IIOT_PROFILE.mask_rules)
-    return compile_schema(fmt, rules), fmt, rules
+    """The iiot profile's schema, unless ``--format`` or the config names
+    a format template or mask rules; a part left unnamed then defaults to the
+    profile's format template and to no mask rules."""
+    profile = evalharness.IIOT_PROFILE
+    custom = format_override or "format_template" in cfg
+    fmt = format_override or cfg.get("format_template", profile.format_template)
+    rules = cfg.get("mask_rules", [] if custom else profile.mask_rules)
+    if not isinstance(fmt, str) or not isinstance(rules, (list, tuple)):
+        raise _ConfigError("format_template must be a string and mask_rules a list")
+    schema = compile_schema(fmt, rules)  # checks that each rule is a pair
+    return schema, fmt, [tuple(rule) for rule in rules]
 
 
 def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
@@ -63,20 +88,55 @@ def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
             for name, overrides in wanted.items()]
 
 
+def _level(value, what: str):
+    """A significance level: a number in [0, 1], returned unchanged."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0.0 <= value <= 1.0:
+        raise _ConfigError(f"{what} must be a number in [0, 1], got {value!r}")
+    return value
+
+
+def _count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _epsilon(cfg: dict, args) -> float:
     eps = args.epsilon if args.epsilon is not None else cfg.get("epsilon", 0.27)
-    if not 0.0 <= float(eps) <= 1.0:
-        raise _ConfigError(f"epsilon must be in [0, 1], got {eps}")
-    return float(eps)
+    return float(_level(eps, "epsilon"))
 
 
 def _grid(cfg: dict, args) -> tuple[float, ...]:
     if args.grid is not None:
         try:
-            return tuple(float(x) for x in args.grid.split(","))
+            grid = [float(x) for x in args.grid.split(",")]
         except ValueError as exc:
             raise _ConfigError(f"bad grid {args.grid!r}") from exc
-    return tuple(cfg.get("grid", evalharness.DEFAULT_GRID))
+    else:
+        grid = cfg.get("grid", evalharness.DEFAULT_GRID)
+        if not isinstance(grid, (list, tuple)):
+            raise _ConfigError(f"grid must be a list of numbers, got {grid!r}")
+    return tuple(_level(eps, "grid value") for eps in grid)
+
+
+def _synth_corpus(cfg: dict, args):
+    """Synthetic corpus from ``seed`` and ``synth.*`` in the config; a flag
+    wins over its key. Commands without a size flag (``eval``) take the
+    sizes from the config alone."""
+    synth_cfg = _section(cfg, "synth")
+    profile = args.profile or synth_cfg.get("profile", "iiot")
+    if not isinstance(profile, str) or profile not in evalharness.PROFILES:
+        raise _ConfigError(f"unknown profile {profile!r}")
+    sizes = {}
+    for key, flag, default in (("n_train", "train", 10000), ("n_test", "test", 1000),
+                               ("n_anomalies", "anomalies", 788)):
+        value = getattr(args, flag, None)
+        sizes[key] = _count(synth_cfg.get(key, default) if value is None else value,
+                            f"synth.{key}")
+    seed = _count(cfg.get("seed", 1) if args.seed is None else args.seed, "seed")
+    return evalharness.synth_corpus(seed=seed, profile=evalharness.PROFILES[profile],
+                                    **sizes)
 
 
 def _train_models(cfg: dict, records):
@@ -88,18 +148,7 @@ def _train_models(cfg: dict, records):
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    synth_cfg = cfg.get("synth", {})
-    profile_name = args.profile or synth_cfg.get("profile", "iiot")
-    if profile_name not in evalharness.PROFILES:
-        raise _ConfigError(f"unknown profile {profile_name!r}")
-    corpus = evalharness.synth_corpus(
-        seed=args.seed if args.seed is not None else cfg.get("seed", 1),
-        n_train=args.train if args.train is not None else synth_cfg.get("n_train", 10000),
-        n_test=args.test if args.test is not None else synth_cfg.get("n_test", 1000),
-        n_anomalies=(args.anomalies if args.anomalies is not None
-                     else synth_cfg.get("n_anomalies", 788)),
-        profile=evalharness.PROFILES[profile_name])
+    corpus = _synth_corpus(_load_config(args.config), args)
     paths = evalharness.write_corpus(corpus, args.out)
     print(f"wrote {len(corpus.raw_lines)} lines "
           f"({len(corpus.train_ids)} train / {len(corpus.test_ids)} test) "
@@ -110,7 +159,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     schema, fmt, rules = _schema_from_config(cfg, args.format)
-    input_path = args.input or cfg.get("paths", {}).get("train")
+    input_path = _path(cfg, "train", args.input)
     if not input_path:
         raise _ConfigError("no training input (use --input or paths.train)")
     if not Path(input_path).exists():
@@ -126,14 +175,14 @@ def cmd_train(args) -> int:
     if not records:
         raise EmptyCorpus(f"no parsable records in {input_path}")
 
-    chain_path = cfg.get("paths", {}).get("chain")
+    chain_path = _path(cfg, "chain")
     if chain_path:
         with ChainStore(chain_path) as store:
             for rec in records:
                 store.append(rec)
 
     models = _train_models(cfg, records)
-    model_path = args.model or args.out or cfg.get("paths", {}).get("model", "model.bundle")
+    model_path = _path(cfg, "model", args.model, args.out, default="model.bundle")
     schema_doc = {"format_template": fmt, "mask_rules": [list(r) for r in rules]}
     conformal.save_bundle(models, schema_doc, model_path)
     counts = ", ".join(f"{m.parser_name}={len(m.template_set.templates)}"
@@ -145,13 +194,14 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = _load_config(args.config)
-    model_path = args.model or cfg.get("paths", {}).get("model")
+    eps = _epsilon(cfg, args)
+    model_path = _path(cfg, "model", args.model)
     if not model_path:
         raise _ConfigError("no model bundle (use --model or paths.model)")
     models, schema_doc = conformal.load_bundle(model_path)
     schema = compile_schema(schema_doc["format_template"],
                             [tuple(r) for r in schema_doc.get("mask_rules", [])])
-    input_path = args.input or cfg.get("paths", {}).get("test")
+    input_path = _path(cfg, "test", args.input)
     if not input_path:
         raise _ConfigError("no detection input (use --input or paths.test)")
     if not Path(input_path).exists():
@@ -160,10 +210,9 @@ def cmd_detect(args) -> int:
     if skipped:
         print(f"warning: skipped {skipped} unparsable lines", file=sys.stderr)
 
-    eps = _epsilon(cfg, args)
     verdicts = detector.detect_batch(models, records, detector.DetectorConfig(epsilon=eps))
     alarms = [v for v in verdicts if v.label == detector.ANOMALY]
-    out_path = args.out or cfg.get("paths", {}).get("alarms", "alarms.jsonl")
+    out_path = _path(cfg, "alarms", args.out, default="alarms.jsonl")
     with open(out_path, "w", encoding="utf-8") as fh:
         for v in alarms:
             fh.write(detector.render_alarm_line(v) + "\n")
@@ -173,27 +222,18 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
-    paths = cfg.get("paths", {})
-    if paths.get("corpus") and paths.get("labels") and paths.get("split"):
+    grid = _grid(cfg, args)
+    sources = [_path(cfg, key) for key in ("corpus", "labels", "split")]
+    if all(sources):
         schema, _, _ = _schema_from_config(cfg, args.format)
-        corpus = evalharness.load_corpus(paths["corpus"], paths["labels"],
-                                         paths["split"], schema)
+        corpus = evalharness.load_corpus(*sources, schema)
     else:
-        synth_cfg = cfg.get("synth", {})
-        profile_name = args.profile or synth_cfg.get("profile", "iiot")
-        if profile_name not in evalharness.PROFILES:
-            raise _ConfigError(f"unknown profile {profile_name!r}")
-        corpus = evalharness.synth_corpus(
-            seed=args.seed if args.seed is not None else cfg.get("seed", 1),
-            n_train=synth_cfg.get("n_train", 10000),
-            n_test=synth_cfg.get("n_test", 1000),
-            n_anomalies=synth_cfg.get("n_anomalies", 788),
-            profile=evalharness.PROFILES[profile_name])
+        corpus = _synth_corpus(cfg, args)
 
     models = _train_models(cfg, corpus.train_records)
-    rows = evalharness.significance_sweep(models, corpus, _grid(cfg, args))
+    rows = evalharness.significance_sweep(models, corpus, grid)
     report = evalharness.render_sweep_csv(rows)
-    out_path = args.out or paths.get("report", "sweep.csv")
+    out_path = _path(cfg, "report", args.out, default="sweep.csv")
     Path(out_path).write_text(report, encoding="utf-8")
     print(evalharness.render_sweep_table(rows), end="")
     print(f"report: {out_path}")
@@ -202,7 +242,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify_chain(args) -> int:
     cfg = _load_config(args.config)
-    store_path = args.store or cfg.get("paths", {}).get("chain")
+    store_path = _path(cfg, "chain", args.store)
     if not store_path:
         raise _ConfigError("no chain store (use --store or paths.chain)")
     if not Path(store_path).exists():

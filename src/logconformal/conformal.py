@@ -18,49 +18,20 @@ from pathlib import Path
 from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, MalformedFormat,
                      UnknownTemplate)
 from .ingest import compile_schema
-from .nonconformity import score_against_set, weighted_score
+from .nonconformity import MAX_EXACT_GAP, nearest, weighted_score
 from .templates import EventTemplate, TemplateSet, list_templates
 
 BUNDLE_VERSION = 1
 
-# Reservoir classes. A template missing from ``calib`` has no class; any
-# reservoir that is neither empty nor all-zero is general.
-EMPTY = "empty"
-ALL_ZERO = "all-zero"
-GENERAL = "general"
-
-# A non-empty edit script scores exactly 0 only if every edit's sigmoid
-# weight is 0, which ``_weight`` returns once x - v > 700. An edit
-# position x is at most n + 1 and the center v is (m + n) / 2 for a template
-# of m tokens and a record of n, so x - v <= (n - m) / 2 + 1: up to this
-# length gap, "score is 0" is exactly "positional match". Longer records are
-# scored by the DP.
-MAX_EXACT_GAP = 1398
-
-
-def _reservoir_class(scores: list[float]) -> str:
-    if not scores:
-        return EMPTY
-    return GENERAL if any(scores) else ALL_ZERO
-
 
 @dataclass
 class CalibrationModel:
-    """Per-template reservoirs of training nonconformity scores.
-
-    ``classes`` is derived from ``calib`` when the model is built and is not
-    serialized; rebuild the model rather than editing ``calib`` in place.
-    """
+    """Per-template reservoirs of training nonconformity scores."""
 
     parser_name: str
     template_set: TemplateSet
-    calib: dict[str, list[float]]  # ascending per template
+    calib: dict[str, list[float]]  # ascending and non-negative per template
     total_count: int
-    classes: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.classes = {tid: _reservoir_class(scores)
-                        for tid, scores in self.calib.items()}
 
 
 @dataclass
@@ -78,9 +49,7 @@ def calibrate(ts: TemplateSet, training) -> CalibrationModel:
     """Score every training record against its matched template.
 
     Identical token sequences are scored once and their score replicated, so
-    the calibration lists still hold one entry per record. A record that
-    matches some template positionally scores 0 there, the least possible
-    score, so the edit-distance scan runs only for records that match none.
+    the calibration lists still hold one entry per record.
     """
     if not ts.templates:
         raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
@@ -88,22 +57,12 @@ def calibrate(ts: TemplateSet, training) -> CalibrationModel:
     if not training:
         raise EmptyCorpus("no calibration records")
 
-    shortest = min(len(t.tokens) for t in ts.templates)
     calib: dict[str, list[float]] = {t.template_id: [] for t in ts.templates}
     cache: dict[tuple[str, ...], tuple[str, float]] = {}
     for rec in training:
         hit = cache.get(rec.tokens)
         if hit is None:
-            matching = (len(rec.tokens) - shortest <= MAX_EXACT_GAP
-                        and [t.template_id for t in ts.templates
-                             if t.matches(rec.tokens)])
-            if matching:
-                # Same tie-break as score_against_set: smallest id as a string.
-                hit = (min(matching), 0.0)
-            else:
-                scored = score_against_set(ts, rec)
-                hit = (scored.argmin, scored.min_score)
-            cache[rec.tokens] = hit
+            hit = cache[rec.tokens] = nearest(ts, rec.tokens)
         calib[hit[0]].append(hit[1])
     for scores in calib.values():
         scores.sort()
@@ -129,20 +88,23 @@ def pvalues_for(model: CalibrationModel, record) -> PValueSet:
     """P-value of the record under every template of the model.
 
     Where the reservoir decides the p-value alone the score is not computed:
-    an empty reservoir gives 0, and an all-zero one gives 1 exactly when the
-    score is 0, that is when the template matches the record positionally.
+    an empty reservoir gives 0, and an all-zero one (sorted and non-negative,
+    so its last score is 0) gives 1 exactly when the score is 0, that is
+    when the template matches the record positionally.
     """
     out = PValueSet(parser_name=model.parser_name)
     tokens = record.tokens
     for tmpl in model.template_set.templates:
         tid = tmpl.template_id
-        kind = model.classes.get(tid)
-        if kind == EMPTY:
+        scores = model.calib.get(tid)
+        if scores is None:
+            raise UnknownTemplate(tid)
+        if not scores:
             out.pvalues[tid] = 0.0
-        elif kind == ALL_ZERO and len(tokens) - len(tmpl.tokens) <= MAX_EXACT_GAP:
+        elif scores[-1] == 0.0 and len(tokens) - len(tmpl.tokens) <= MAX_EXACT_GAP:
             out.pvalues[tid] = 1.0 if tmpl.matches(tokens) else 0.0
         else:
-            out.pvalues[tid] = pvalue(model, tid, weighted_score(tmpl.tokens, record))
+            out.pvalues[tid] = pvalue(model, tid, weighted_score(tmpl.tokens, tokens))
     return out
 
 

@@ -26,21 +26,6 @@ DELETE = "delete"
 REPLACE = "replace"
 
 
-@dataclass(slots=True)
-class EditScript:
-    """Minimal edit script; each op is a (kind, 1-based record position) pair.
-
-    Positions index the record for replace/insert; for delete they give the
-    index the removed template token would occupy in the record.
-    """
-
-    ops: tuple[tuple[str, int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.ops)
-
-
 @dataclass(frozen=True, slots=True)
 class ScoreParams:
     """Sigmoid center, in units of token index. Must be positive."""
@@ -52,27 +37,20 @@ class ScoreParams:
             raise ValueError(f"sigmoid center must be > 0, got {self.v}")
 
 
-@dataclass(slots=True)
-class ScoreSet:
-    """Per-template scores for one record, with the best template singled out."""
-
-    scores: dict[str, float]
-    min_score: float
-    argmin: str
-
-
 def _tokens_of(obj) -> tuple[str, ...]:
     tokens = getattr(obj, "tokens", obj)
     return tuple(tokens)
 
 
-def edit_script(a, b) -> EditScript:
+def edit_script(a, b) -> tuple[tuple[str, int], ...]:
     """Minimal-cost edit script transforming token sequence ``a`` into ``b``.
 
-    Unit costs; a ``<*>`` in ``a`` matches any single token of ``b`` for
-    free. Among minimal alignments the backtrace deterministically prefers
-    match, then replace, then delete, then insert, working backward from the
-    sequence ends.
+    Each op is a (kind, 1-based record position) pair. Positions index the
+    record for replace/insert; for delete they give the index the removed
+    template token would occupy in the record. Unit costs; a ``<*>`` in
+    ``a`` matches any single token of ``b`` for free. Among minimal
+    alignments the backtrace deterministically prefers match, then replace,
+    then delete, then insert, working backward from the sequence ends.
     """
     a = _tokens_of(a)
     b = _tokens_of(b)
@@ -110,7 +88,16 @@ def edit_script(a, b) -> EditScript:
             ops.append((INSERT, j))
             j -= 1
     ops.reverse()
-    return EditScript(ops=tuple(ops))
+    return tuple(ops)
+
+
+# A non-empty edit script scores exactly 0 only if every edit's sigmoid
+# weight is 0, which ``_weight`` returns once x - v > 700. An edit
+# position x is at most n + 1 and the center v is (m + n) / 2 for a template
+# of m tokens and a record of n, so x - v <= (n - m) / 2 + 1: up to this
+# length gap, "score is 0" is exactly "positional match". Longer records are
+# scored by the DP.
+MAX_EXACT_GAP = 1398
 
 
 def _weight(x: int, v: float) -> float:
@@ -136,28 +123,33 @@ def weighted_score(template, record, params: ScoreParams | None = None) -> float
     if not a and not b:
         return 0.0
     v = params.v if params is not None else default_center(a, b)
-    script = edit_script(a, b)
-    if not script.ops:
+    ops = edit_script(a, b)
+    if not ops:
         return 0.0
-    return sum(_weight(x, v) for _, x in script.ops)
+    return sum(_weight(x, v) for _, x in ops)
 
 
-def score_against_set(ts: TemplateSet, record, params: ScoreParams | None = None) -> ScoreSet:
-    """Score a record against every template of a set.
+def nearest(ts: TemplateSet, record) -> tuple[str, float]:
+    """Id and score of the template of ``ts`` nearest to ``record``.
 
-    Each pair gets its own default sigmoid center unless ``params`` pins one.
-    Ties on the minimum go to the lexicographically smaller template id.
+    A positional match scores 0, the least possible score, so while the
+    record is at most ``MAX_EXACT_GAP`` tokens longer than the shortest
+    template the matching templates are found without the DP. Otherwise
+    every template is scored. Ties go to the smaller id compared as a
+    string (``"T10" < "T2"``).
     """
     if not ts.templates:
         raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
     tokens = _tokens_of(record)
-    scores: dict[str, float] = {}
-    best_id = None
-    best = math.inf
+    # a record of at most MAX_EXACT_GAP tokens is within the gap of any template
+    if len(tokens) <= MAX_EXACT_GAP \
+            or len(tokens) - min(len(t.tokens) for t in ts.templates) <= MAX_EXACT_GAP:
+        matching = [t.template_id for t in ts.templates if t.matches(tokens)]
+        if matching:
+            return min(matching), 0.0
+    best_id, best = None, math.inf
     for tmpl in ts.templates:
-        s = weighted_score(tmpl.tokens, tokens, params)
-        scores[tmpl.template_id] = s
+        s = weighted_score(tmpl.tokens, tokens)
         if s < best or (s == best and tmpl.template_id < best_id):
-            best = s
-            best_id = tmpl.template_id
-    return ScoreSet(scores=scores, min_score=best, argmin=best_id)
+            best_id, best = tmpl.template_id, s
+    return best_id, best

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from ..errors import EmptyCorpus, EmptyTemplateSet, InvalidSpec, UnknownParser
-from ..nonconformity import score_against_set
+from ..errors import EmptyCorpus, InvalidSpec, UnknownParser
+from ..nonconformity import nearest
 from ..templates import EventTemplate, TemplateSet, list_templates
 from .drain import fit_drain
 from .iplom import fit_iplom
@@ -189,10 +189,7 @@ def match_record(ts: TemplateSet, record) -> str | None:
     Ties go to the lexicographically smaller id; ``None`` only when the set
     has no templates.
     """
-    try:
-        return score_against_set(ts, record).argmin
-    except EmptyTemplateSet:
-        return None
+    return nearest(ts, record)[0] if ts.templates else None
 
 
 __all__ = [

@@ -45,9 +45,6 @@ class TemplateSet:
     templates: list[EventTemplate] = field(default_factory=list)
     assignment: dict[int, str] = field(default_factory=dict)
 
-    def by_id(self) -> dict[str, EventTemplate]:
-        return {t.template_id: t for t in self.templates}
-
 
 def list_templates(ts: TemplateSet) -> list[EventTemplate]:
     """Templates in natural id order (T2 before T10)."""
@@ -62,16 +59,3 @@ def export_templates(ts: TemplateSet) -> str:
                                 " ".join(t.tokens), str(t.support)]))
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def import_templates(text: str) -> TemplateSet:
-    """Parse an :func:`export_templates` dump. Assignments are not exported."""
-    templates = []
-    parser_name = ""
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        parser_name, template_id, tokens, support = raw.split("\t")
-        templates.append(EventTemplate(template_id=template_id,
-                                       tokens=tuple(tokens.split(" ")),
-                                       support=int(support)))
-    return TemplateSet(parser_name=parser_name, parser_params={}, templates=templates)

@@ -3,13 +3,25 @@ from __future__ import annotations
 import pytest
 
 from logconformal.conformal import CalibrationModel
+from logconformal.errors import EmptyTemplateSet
 from logconformal.ingest import LogRecord
+from logconformal.nonconformity import weighted_score
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
 
 def make_record(line_id: int, tokens) -> LogRecord:
     return LogRecord(line_id=line_id, headers={}, content=" ".join(tokens),
                      tokens=tuple(tokens))
+
+
+def dp_nearest(ts: TemplateSet, record) -> tuple[str, float]:
+    """Reference nearest template: the full-DP argmin of ``weighted_score``
+    over every template, ties to the smaller id compared as a string."""
+    if not ts.templates:
+        raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
+    score, template_id = min((weighted_score(t.tokens, record), t.template_id)
+                             for t in ts.templates)
+    return template_id, score
 
 
 def graded_models() -> list[CalibrationModel]:

@@ -24,6 +24,8 @@ from logconformal.nonconformity import ScoreParams, edit_script, weighted_score
 from logconformal.parsers import PARSER_NAMES, fit, match_record
 from logconformal.templates import WILDCARD
 
+from conftest import dp_nearest
+
 
 def _report(name: str, ok: bool, detail: str = ""):
     tail = f" ({detail})" if detail else ""
@@ -193,7 +195,7 @@ def test_criterion_4_oracle_equivalence():
     for ai, a in enumerate(seqs):
         expected_row = table[ai]
         for bi, b in enumerate(seqs):
-            if edit_script(a, b).n != expected_row[bi]:
+            if len(edit_script(a, b)) != expected_row[bi]:
                 mismatches += 1
             pairs += 1
     elapsed = time.monotonic() - t0
@@ -221,8 +223,6 @@ def test_criterion_5_weighted_score_spot_values():
 # -- 6. Conformal validity ----------------------------------------------------
 
 def test_criterion_6_conformal_validity():
-    from logconformal.nonconformity import score_against_set
-
     epsilons = (0.1, 0.27, 0.4)
     worst = 0.0
     failures = []
@@ -236,8 +236,7 @@ def test_criterion_6_conformal_validity():
             for rec in held_out:
                 hit = cache.get(rec.tokens)
                 if hit is None:
-                    scored = score_against_set(model.template_set, rec)
-                    hit = pvalue(model, scored.argmin, scored.min_score)
+                    hit = pvalue(model, *dp_nearest(model.template_set, rec))
                     cache[rec.tokens] = hit
                 matched_p.append(hit)
             for eps in epsilons:

@@ -50,6 +50,15 @@ class TestSynth:
             assert (out / name).exists()
         assert len((out / "corpus.log").read_text().splitlines()) == 480
 
+    def test_size_flags_override_config(self, workdir):
+        tmp_path, cfg = workdir
+        out = tmp_path / "small"
+        assert main(["synth", "--config", str(cfg), "--train", "50", "--test", "10",
+                     "--anomalies", "2", "--out", str(out)]) == 0
+        assert len((out / "train.log").read_text().splitlines()) == 50
+        labels = (out / "labels.csv").read_text().splitlines()[1:]
+        assert sum(line.endswith(",anomaly") for line in labels) == 2
+
     def test_synth_requires_out(self, tmp_path):
         assert main(["synth", "--seed", "1"]) == 2
 
@@ -265,3 +274,34 @@ class TestEval:
     def test_unknown_profile_is_config_error(self, tmp_path):
         cfg = _config(tmp_path, synth={"profile": "nope"})
         assert main(["eval", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command, override", [
+    ("detect", {"epsilon": "abc"}),
+    ("detect", {"epsilon": [1]}),
+    ("detect", {"epsilon": True}),
+    ("eval", {"grid": "ab"}),
+    ("eval", {"grid": [2.0]}),
+    ("eval", {"grid": [-0.1]}),
+    ("eval", {"synth": {"n_train": "x"}}),
+    ("eval", {"synth": "x"}),
+    ("eval", {"seed": "x"}),
+    ("eval", {"paths": "x"}),
+    ("train", {"paths": {"model": 5}}),
+    ("train", {"mask_rules": 5}),
+    ("train", {"format_template": 5}),
+])
+def test_bad_config_value_is_config_error(tmp_path, command, override):
+    log = tmp_path / "in.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+    bundle = tmp_path / "m.bundle"
+    assert main(["train", "--config", str(_config(tmp_path)), "--input", str(log),
+                 "--model", str(bundle)]) == 0
+    out = ["--out", str(tmp_path / "out")]
+    argv = {"train": ["--input", str(log)],  # the bundle path comes from the config
+            "detect": ["--input", str(log), "--model", str(bundle), *out],
+            "eval": out}[command]
+    proc = _run_cli(command, "--config", str(_config(tmp_path, **override)), *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from logconformal import nonconformity
 from logconformal.cli import main
-from logconformal.conformal import (ALL_ZERO, CalibrationModel, bundle_to_bytes,
+from logconformal.conformal import (CalibrationModel, bundle_to_bytes,
                                     calibrate, load_bundle, pvalue,
                                     pvalues_for, save_bundle)
 from logconformal.errors import (BundleError, EmptyCorpus, EmptyTemplateSet,
                                  UnknownTemplate)
-from logconformal.nonconformity import score_against_set, weighted_score
-from logconformal.parsers import fit
+from logconformal.nonconformity import weighted_score
+from logconformal.parsers import fit, match_record
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
-from conftest import make_record
+from conftest import dp_nearest, make_record
 
 
 def _two_template_set():
@@ -134,6 +134,13 @@ class TestPValuesFor:
         pset = pvalues_for(model, make_record(1, ["a", "b"]))
         assert pset.pvalues["T1"] == 1.0
 
+    def test_template_missing_from_calibration(self):
+        ts = _two_template_set()
+        model = CalibrationModel(parser_name="drain", template_set=ts,
+                                 calib={"T1": [0.0]}, total_count=1)
+        with pytest.raises(UnknownTemplate):
+            pvalues_for(model, make_record(1, ["a", "b"]))
+
     def test_covers_every_template(self):
         records = [make_record(i + 1, row) for i, row in enumerate(
             [["open", "x"], ["open", "y"], ["shut", "x"], ["shut", "y"]])]
@@ -168,8 +175,8 @@ def _dp_model(templates):
 
 
 class TestPruningMatchesDP:
-    """The p-values and calibration hits that skip the edit-distance DP equal
-    the ones the DP gives, for every reservoir class."""
+    """The p-values, calibration hits and nearest templates that skip the
+    edit-distance DP equal the ones the DP gives, for every reservoir class."""
 
     @given(_TEMPLATES, _RECORD)
     @example(_TIED, ["a", "b"])
@@ -188,10 +195,11 @@ class TestPruningMatchesDP:
     def test_calibrate(self, templates, tokens):
         ts = _dp_model(templates).template_set
         rec = make_record(1, tokens)
-        scored = score_against_set(ts, rec)
+        argmin, min_score = dp_nearest(ts, rec)
         calib = calibrate(ts, [rec]).calib
-        assert calib == {t.template_id: [scored.min_score] if t.template_id == scored.argmin
+        assert calib == {t.template_id: [min_score] if t.template_id == argmin
                          else [] for t in ts.templates}
+        assert match_record(ts, rec) == argmin
 
     def test_tied_matches_go_to_smallest_id_as_string(self):
         ts = _dp_model(_TIED).template_set
@@ -209,10 +217,9 @@ class TestPruningMatchesDP:
         rec = make_record(1, ["a"] + ["b"] * 1400)
         assert pvalues_for(model, rec).pvalues == {"T1": 0.0, "T2": 0.0}
         assert runs == [1401]  # T1 only: T2's empty reservoir needs no score
-        scored = score_against_set(model.template_set, rec)
+        argmin, min_score = dp_nearest(model.template_set, rec)
         runs.clear()
-        assert calibrate(model.template_set, [rec]).calib[scored.argmin] == \
-            [scored.min_score]
+        assert calibrate(model.template_set, [rec]).calib[argmin] == [min_score]
         assert runs == [1401, 1401]
 
 
@@ -309,11 +316,24 @@ class TestBundle:
         assert main(["detect", "--model", str(path), "--input", str(log),
                      "--out", str(tmp_path / "alarms.jsonl")]) == 4
 
-    def test_signed_zero_reservoir_loads(self, tmp_path):
+    def test_signed_zero_reservoir_loads(self, tmp_path, monkeypatch):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))
         _largest(doc["models"][0])[0] = -0.0
         path = tmp_path / "zero.bundle"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        loaded, _ = load_bundle(path)
-        assert ALL_ZERO in loaded[0].classes.values()
+        model = load_bundle(path)[0][0]
+        rec = make_record(1, ["evt", "1", "ok"])
+        assert any(t.matches(rec.tokens) for t in model.template_set.templates)
+        runs = []
+        edit_script = nonconformity.edit_script
+
+        def counted(a, b):
+            runs.append(len(b))
+            return edit_script(a, b)
+        monkeypatch.setattr(nonconformity, "edit_script", counted)
+        got = pvalues_for(model, rec).pvalues
+        assert runs == []
+        assert got == {t.template_id: pvalue(model, t.template_id,
+                                             weighted_score(t.tokens, rec))
+                       for t in model.template_set.templates}

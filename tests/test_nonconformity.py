@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logconformal.errors import EmptyTemplateSet
-from logconformal.nonconformity import (DELETE, INSERT, REPLACE, EditScript,
-                                        ScoreParams, edit_script,
-                                        score_against_set, weighted_score)
+from logconformal.nonconformity import (DELETE, INSERT, REPLACE, ScoreParams,
+                                        edit_script, nearest, weighted_score)
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
 from conftest import make_record
@@ -27,28 +26,24 @@ def naive_min_edits(a, b):
 
 class TestEditScript:
     def test_identical(self):
-        s = edit_script(["a", "b"], ["a", "b"])
-        assert s.n == 0 and s.ops == ()
+        assert edit_script(["a", "b"], ["a", "b"]) == ()
 
     def test_wildcard_matches_for_free(self):
         s = edit_script(["Load", WILDCARD, "failed!"], ["Load", "cfg.ini", "failed!"])
-        assert s.n == 0
+        assert len(s) == 0
 
     def test_single_replace_position(self):
-        s = edit_script(["a", "b", "c"], ["a", "x", "c"])
-        assert s.ops == ((REPLACE, 2),)
+        assert edit_script(["a", "b", "c"], ["a", "x", "c"]) == ((REPLACE, 2),)
 
     def test_single_insert_position(self):
-        s = edit_script(["a", "b"], ["a", "b", "c"])
-        assert s.ops == ((INSERT, 3),)
+        assert edit_script(["a", "b"], ["a", "b", "c"]) == ((INSERT, 3),)
 
     def test_delete_would_be_index(self):
-        s = edit_script(["a", "b", "c"], ["a", "c"])
-        assert s.ops == ((DELETE, 2),)
+        assert edit_script(["a", "b", "c"], ["a", "c"]) == ((DELETE, 2),)
 
     def test_empty_sides(self):
-        assert edit_script([], ["x", "y"]).ops == ((INSERT, 1), (INSERT, 2))
-        assert edit_script(["x", "y"], []).ops == ((DELETE, 1), (DELETE, 1))
+        assert edit_script([], ["x", "y"]) == ((INSERT, 1), (INSERT, 2))
+        assert edit_script(["x", "y"], []) == ((DELETE, 1), (DELETE, 1))
 
     def test_exhaustive_against_naive_recursion(self):
         # all pairs up to length 3 over two literals and the wildcard
@@ -62,17 +57,18 @@ class TestEditScript:
             seqs.extend(new)
         for a in seqs:
             for b in seqs:
-                assert edit_script(a, b).n == naive_min_edits(a, b), (a, b)
+                assert len(edit_script(a, b)) == naive_min_edits(a, b), (a, b)
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "d", WILDCARD]), max_size=7),
            st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=7))
     @settings(max_examples=300, deadline=None)
     def test_random_pairs_match_naive_recursion(self, a, b):
-        assert edit_script(a, b).n == naive_min_edits(tuple(a), tuple(b))
+        assert len(edit_script(a, b)) == naive_min_edits(tuple(a), tuple(b))
 
     def test_ops_invariant_n(self):
-        s = edit_script(["p", "q"], ["x", "y", "z"])
-        assert s.n == len(s.ops)
+        # one op per unit of edit distance, each a (kind, position) pair
+        assert edit_script(["p", "q"], ["x", "y", "z"]) == \
+            ((INSERT, 1), (REPLACE, 2), (REPLACE, 3))
 
 
 class TestWeightedScore:
@@ -93,13 +89,13 @@ class TestWeightedScore:
 
     def test_score_bounds(self):
         a, b = ["a", "b", "c", "d"], ["w", "x", "y", "z"]
-        n = edit_script(a, b).n
+        n = len(edit_script(a, b))
         got = weighted_score(a, b, ScoreParams(2.0))
         assert 0.0 <= got < n
 
     def test_score_approaches_n_for_large_center(self):
         a, b = ["a", "b"], ["x", "y"]
-        n = edit_script(a, b).n
+        n = len(edit_script(a, b))
         assert weighted_score(a, b, ScoreParams(1e6)) == pytest.approx(n, abs=1e-9)
 
     def test_positional_monotonicity(self):
@@ -122,7 +118,7 @@ class TestWeightedScore:
         assert weighted_score(tokens, tokens) == 0.0
 
 
-class TestScoreAgainstSet:
+class TestNearest:
     def _set(self, template_map):
         ts = TemplateSet(parser_name="drain", parser_params={})
         for tid, tokens in template_map.items():
@@ -131,25 +127,22 @@ class TestScoreAgainstSet:
 
     def test_zero_distance_wins(self):
         ts = self._set({"T1": ("Send", "done"), "T2": ("other", "thing")})
-        got = score_against_set(ts, make_record(1, ["Send", "done"]))
-        assert got.argmin == "T1" and got.scores["T1"] == 0.0
+        assert nearest(ts, make_record(1, ["Send", "done"])) == ("T1", 0.0)
 
     def test_hand_computed_scores(self):
         ts = self._set({"T1": ("Load", WILDCARD, "ok"), "T2": ("Send", "done")})
-        got = score_against_set(ts, make_record(1, ["Load", "x.ini", "ok"]))
-        assert got.scores["T1"] == 0.0
+        record = make_record(1, ["Load", "x.ini", "ok"])
+        assert nearest(ts, record) == ("T1", 0.0)
         # T2 needs three ops at record positions 1, 2 and 3 with center 2.5
         expected = sum(1.0 / (1.0 + math.exp(x - 2.5)) for x in (1, 2, 3))
-        assert got.scores["T2"] == pytest.approx(expected, abs=1e-9)
-        assert got.argmin == "T1"
+        assert weighted_score(("Send", "done"), record) == pytest.approx(expected, abs=1e-9)
 
     def test_tie_breaks_lexicographically(self):
         ts = self._set({"T2": ("a", "b"), "T10": ("a", "b")})
-        got = score_against_set(ts, make_record(1, ["a", "b"]))
-        assert got.scores["T2"] == got.scores["T10"] == 0.0
-        assert got.argmin == "T10"  # string order, not numeric order
+        # string order, not numeric order
+        assert nearest(ts, make_record(1, ["a", "b"])) == ("T10", 0.0)
 
     def test_empty_set_rejected(self):
         ts = TemplateSet(parser_name="drain", parser_params={})
         with pytest.raises(EmptyTemplateSet):
-            score_against_set(ts, make_record(1, ["a"]))
+            nearest(ts, make_record(1, ["a"]))
