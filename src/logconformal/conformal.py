@@ -15,10 +15,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, MalformedFormat,
-                     UnknownTemplate)
+from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, InvalidSpec,
+                     MalformedFormat, UnknownParser, UnknownTemplate)
 from .ingest import compile_schema
 from .nonconformity import MAX_EXACT_GAP, nearest, weighted_score
+from .parsers import params_from_dict
 from .templates import EventTemplate, TemplateSet, list_templates
 
 BUNDLE_VERSION = 1
@@ -127,12 +128,22 @@ def _model_to_doc(model: CalibrationModel) -> dict:
 def _model_from_doc(doc: dict) -> CalibrationModel:
     """Build a model from its bundle document; ``ValueError`` if malformed.
 
-    The pruned p-values rely on each reservoir being sorted, finite and
-    non-negative, and on a reservoir for every template.
+    The parser name and params must be ones ``train`` accepts, and each
+    template a list of string tokens with an integer support. The pruned
+    p-values rely on each reservoir being sorted, finite and non-negative,
+    and on a reservoir for every template.
     """
     name = doc["parser_name"]
+    try:
+        params_from_dict(name, doc["parser_params"])
+    except (InvalidSpec, UnknownParser) as exc:
+        raise ValueError(f"parser {name!r}: {exc}") from exc
     ts = TemplateSet(parser_name=name, parser_params=doc["parser_params"])
     for template_id, tokens, support in doc["templates"]:
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens) \
+                or isinstance(support, bool) or not isinstance(support, int):
+            raise ValueError(f"{name}: template {template_id!r} needs a list of "
+                             f"string tokens and an integer support")
         ts.templates.append(EventTemplate(template_id=template_id,
                                           tokens=tuple(tokens),
                                           support=support))
@@ -182,6 +193,11 @@ def load_bundle(path) -> tuple[list[CalibrationModel], dict]:
         raise BundleError(f"unsupported bundle version in {path}")
     try:
         models = [_model_from_doc(m) for m in doc["models"]]
+        if not models:
+            raise ValueError("no models")
+        names = [m.parser_name for m in models]
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated parser name in {names}")
         schema_doc = doc["schema"]
         compile_schema(schema_doc["format_template"],
                        [tuple(r) for r in schema_doc.get("mask_rules", [])])

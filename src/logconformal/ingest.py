@@ -241,20 +241,6 @@ class ChainStore:
         self._prev_digest = entry.entry_digest
         return entry
 
-    def entries(self):
-        """Yield raw (parsed) entries without verifying digests."""
-        if not self.path.exists():
-            return
-        for _end, index, payload, prev_digest, entry_digest in \
-                _frames(self.path.read_bytes()):
-            yield ChainedEntry(index=index,
-                               payload_digest=hashlib.sha256(payload).digest(),
-                               prev_digest=prev_digest,
-                               entry_digest=entry_digest)
-
-    def verify(self) -> VerificationReport:
-        return verify_chain(self.path)
-
 
 def _frames(data: bytes):
     """Yield (end offset, index, payload, prev digest, entry digest) per frame.

@@ -1,10 +1,13 @@
 """Heterogeneous log-parser backends behind one training interface.
 
-Four miners ship by default (drain, spell, iplom, logcluster); further
-backends can be registered by name. ``fit`` produces a
-:class:`~logconformal.templates.TemplateSet` whose templates all use the
-shared literal-or-wildcard token shape, so one scoring function serves them
-all.
+Four miners ship: drain, spell, iplom and logcluster. Each is a black box
+with one contract: ``miner(records, **params)`` takes tokenized records and
+the fields of its params dataclass as keywords, and returns
+``[(template_tokens, member_line_ids), ...]`` in creation order, every
+record in exactly one group. ``fit`` is the only code that turns those
+groups into a :class:`~logconformal.templates.TemplateSet`; its templates
+all use the shared literal-or-wildcard token shape, so one scoring function
+serves them all.
 """
 
 from __future__ import annotations
@@ -73,60 +76,12 @@ class LogClusterParams:
 ParserParams = DrainParams | SpellParams | IPLoMParams | LogClusterParams
 
 
-def _fit_drain(params: DrainParams, records) -> TemplateSet:
-    ts = TemplateSet(parser_name="drain", parser_params=asdict(params))
-    for cluster in fit_drain(records, depth=params.depth,
-                             sim_threshold=params.sim_threshold,
-                             max_children=params.max_children):
-        _add_group(ts, cluster.template, cluster.member_ids)
-    return ts
-
-
-def _fit_spell(params: SpellParams, records) -> TemplateSet:
-    ts = TemplateSet(parser_name="spell", parser_params=asdict(params))
-    for group in fit_spell(records, lcs_threshold=params.lcs_threshold):
-        _add_group(ts, group.template, group.member_ids)
-    return ts
-
-
-def _fit_iplom(params: IPLoMParams, records) -> TemplateSet:
-    ts = TemplateSet(parser_name="iplom", parser_params=asdict(params))
-    for template, ids in fit_iplom(
-            records,
-            partition_support_threshold=params.partition_support_threshold,
-            lower_bound=params.lower_bound, upper_bound=params.upper_bound):
-        _add_group(ts, template, ids)
-    return ts
-
-
-def _fit_logcluster(params: LogClusterParams, records) -> TemplateSet:
-    ts = TemplateSet(parser_name="logcluster", parser_params=asdict(params))
-    for _key, template, ids in fit_logcluster(records,
-                                              min_support=params.min_support):
-        _add_group(ts, template, ids)
-    return ts
-
-
-def _add_group(ts: TemplateSet, template_tokens, member_ids):
-    template_id = f"T{len(ts.templates) + 1}"
-    ts.templates.append(EventTemplate(template_id=template_id,
-                                      tokens=tuple(template_tokens),
-                                      support=len(member_ids)))
-    for line_id in member_ids:
-        ts.assignment[line_id] = template_id
-
-
 _REGISTRY: dict[str, tuple[type, object]] = {
-    "drain": (DrainParams, _fit_drain),
-    "spell": (SpellParams, _fit_spell),
-    "iplom": (IPLoMParams, _fit_iplom),
-    "logcluster": (LogClusterParams, _fit_logcluster),
+    "drain": (DrainParams, fit_drain),
+    "spell": (SpellParams, fit_spell),
+    "iplom": (IPLoMParams, fit_iplom),
+    "logcluster": (LogClusterParams, fit_logcluster),
 }
-
-
-def register_parser(name: str, params_cls: type, fitter) -> None:
-    """Make a new backend available to :func:`fit` under ``name``."""
-    _REGISTRY[name] = (params_cls, fitter)
 
 
 def default_params(parser_name: str) -> ParserParams:
@@ -167,8 +122,9 @@ def params_from_dict(parser_name: str, overrides: dict | None) -> ParserParams:
 def fit(parser_name: str, params: ParserParams | None, records) -> TemplateSet:
     """Train one parser on tokenized records.
 
-    Deterministic for identical inputs; every record is assigned to exactly
-    one template.
+    The miner's groups become templates ``T1..Tk`` in the order the miner
+    returns them, each with one support per member line. Deterministic for
+    identical inputs.
     """
     if parser_name not in _REGISTRY:
         raise UnknownParser(parser_name)
@@ -177,10 +133,14 @@ def fit(parser_name: str, params: ParserParams | None, records) -> TemplateSet:
         raise EmptyCorpus("no training records")
     if any(not rec.tokens for rec in records):
         raise ValueError("records must be tokenized; found a record with no tokens")
-    params_cls, fitter = _REGISTRY[parser_name]
+    params_cls, miner = _REGISTRY[parser_name]
     if params is None:
         params = params_cls()
-    return fitter(params, records)
+    ts = TemplateSet(parser_name=parser_name, parser_params=asdict(params))
+    for k, (tokens, member_ids) in enumerate(miner(records, **asdict(params)), 1):
+        ts.templates.append(EventTemplate(template_id=f"T{k}", tokens=tuple(tokens),
+                                          support=len(member_ids)))
+    return ts
 
 
 def match_record(ts: TemplateSet, record) -> str | None:
@@ -195,5 +155,5 @@ def match_record(ts: TemplateSet, record) -> str | None:
 __all__ = [
     "PARSER_NAMES", "DrainParams", "SpellParams", "IPLoMParams",
     "LogClusterParams", "ParserParams", "fit", "match_record",
-    "list_templates", "register_parser", "default_params", "params_from_dict",
+    "list_templates", "default_params", "params_from_dict",
 ]

@@ -22,7 +22,6 @@ def _has_digit(token: str) -> bool:
 
 @dataclass
 class _Cluster:
-    serial: int
     template: list[str]
     member_ids: list[int] = field(default_factory=list)
 
@@ -101,7 +100,7 @@ class DrainTree:
     def add(self, tokens, line_id: int):
         cluster = self._search(tokens)
         if cluster is None:
-            cluster = _Cluster(serial=len(self.clusters) + 1, template=list(tokens))
+            cluster = _Cluster(template=list(tokens))
             self.clusters.append(cluster)
             self._insert(cluster)
         else:
@@ -112,9 +111,9 @@ class DrainTree:
 
 def fit_drain(records, depth: int = 4, sim_threshold: float = 0.5,
               max_children: int = 100):
-    """Group records; returns (clusters in creation order)."""
+    """Group records; returns (template, line_ids) pairs in creation order."""
     tree = DrainTree(depth=depth, sim_threshold=sim_threshold,
                      max_children=max_children)
     for rec in records:
         tree.add(rec.tokens, rec.line_id)
-    return tree.clusters
+    return [(c.template, c.member_ids) for c in tree.clusters]

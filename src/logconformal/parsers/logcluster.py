@@ -24,7 +24,7 @@ def _word_supports(token_rows) -> Counter:
 
 
 def fit_logcluster(records, min_support: int = 10):
-    """Cluster records; returns (key, template, line_ids) in first-seen order."""
+    """Cluster records; returns (template, line_ids) pairs in first-seen order."""
     support = _word_supports(rec.tokens for rec in records)
     frequent = {w for w, c in support.items() if c >= min_support}
 
@@ -59,5 +59,5 @@ def fit_logcluster(records, min_support: int = 10):
                 template.append(WILDCARD)
         if not template:
             template.append(WILDCARD)
-        out.append((key, template, cluster["ids"]))
+        out.append((template, cluster["ids"]))
     return out

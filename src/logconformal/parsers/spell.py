@@ -17,7 +17,6 @@ from ..templates import WILDCARD
 
 @dataclass
 class _Group:
-    serial: int
     template: list[str]
     member_ids: list[int] = field(default_factory=list)
 
@@ -39,7 +38,7 @@ def lcs_length(a, b) -> int:
 
 
 def fit_spell(records, lcs_threshold: float = 0.5):
-    """Group records; returns groups in creation order."""
+    """Group records; returns (template, line_ids) pairs in creation order."""
     groups: list[_Group] = []
     seen: dict[tuple[str, ...], _Group] = {}
     for rec in records:
@@ -60,8 +59,8 @@ def fit_spell(records, lcs_threshold: float = 0.5):
                                  for t, o in zip(best.template, tokens)]
                 group = best
             else:
-                group = _Group(serial=len(groups) + 1, template=list(tokens))
+                group = _Group(template=list(tokens))
                 groups.append(group)
             seen[tokens] = group
         group.member_ids.append(rec.line_id)
-    return groups
+    return [(g.template, g.member_ids) for g in groups]

@@ -43,7 +43,6 @@ class TemplateSet:
     parser_name: str
     parser_params: dict
     templates: list[EventTemplate] = field(default_factory=list)
-    assignment: dict[int, str] = field(default_factory=dict)
 
 
 def list_templates(ts: TemplateSet) -> list[EventTemplate]:

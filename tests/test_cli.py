@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logconformal
 from logconformal.cli import main
@@ -219,6 +221,38 @@ class TestDetect:
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.fixture(scope="class")
+    def small_bundle(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        cfg = _config(tmp_path, synth={"profile": "iiot", "n_train": 200,
+                                       "n_test": 20, "n_anomalies": 5})
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        bundle = tmp_path / "m.bundle"
+        assert main(["train", "--config", str(cfg),
+                     "--input", str(tmp_path / "c" / "train.log"),
+                     "--model", str(bundle)]) == 0
+        return tmp_path, bundle.read_bytes()
+
+    @given(truncate=st.booleans(), offset=st.floats(0, 1, exclude_max=True),
+           flip=st.integers(1, 255))
+    @settings(max_examples=100, deadline=None)
+    def test_damaged_bundle_is_bundle_error_or_loads(self, small_bundle,
+                                                     truncate, offset, flip):
+        """A truncated bundle, or one with a byte flipped, either loads or
+        exits 4; it never ends in a traceback or another exit code."""
+        tmp_path, good = small_bundle
+        pos = int(offset * len(good))
+        damaged = bytearray(good)
+        if truncate:
+            del damaged[pos:]
+        else:
+            damaged[pos] ^= flip
+        bad = tmp_path / "damaged.bundle"
+        bad.write_bytes(damaged)
+        assert main(["detect", "--model", str(bad),
+                     "--input", str(tmp_path / "c" / "test.log"),
+                     "--out", str(tmp_path / "alarms.jsonl")]) in (0, 4)
 
     def test_missing_model_flag(self, workdir):
         tmp_path, cfg = workdir

@@ -253,6 +253,20 @@ def _corrupt(doc, how):
         doc["schema"]["format_template"] = "<Sys-Id> <Content>"
     elif how == "bad mask rule":
         doc["schema"]["mask_rules"] = [["(unclosed", "<*>"]]
+    elif how == "no models":
+        doc["models"] = []
+    elif how == "unknown parser":
+        model_doc["parser_name"] = "nope"
+    elif how == "bad param type":
+        doc["models"][0]["parser_params"] = {"depth": "x"}
+    elif how == "params not an object":
+        model_doc["parser_params"] = "x"
+    elif how == "repeated parser":
+        doc["models"][1] = doc["models"][0]
+    elif how == "string tokens":
+        model_doc["templates"][0][1] = " ".join(model_doc["templates"][0][1])
+    elif how == "string support":
+        model_doc["templates"][0][2] = "x"
 
 
 class TestBundle:
@@ -302,7 +316,11 @@ class TestBundle:
     @pytest.mark.parametrize("how", ["missing key", "extra key", "unsorted",
                                      "negative", "infinite", "nan",
                                      "miscounted", "not a dict", "no format",
-                                     "bad format", "bad mask rule"])
+                                     "bad format", "bad mask rule",
+                                     "no models", "unknown parser",
+                                     "bad param type", "params not an object",
+                                     "repeated parser", "string tokens",
+                                     "string support"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))

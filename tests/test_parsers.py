@@ -1,12 +1,14 @@
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logconformal import parsers
 from logconformal.errors import EmptyCorpus, InvalidSpec, UnknownParser
 from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
-                                  SpellParams, default_params, fit,
-                                  match_record, params_from_dict,
-                                  register_parser)
+                                  SpellParams, fit, match_record,
+                                  params_from_dict)
 from logconformal.templates import (WILDCARD, EventTemplate, TemplateSet,
                                     export_templates, list_templates)
 
@@ -17,6 +19,41 @@ ALL_PARSERS = ("drain", "spell", "iplom", "logcluster")
 
 def _corpus(rows):
     return [make_record(i + 1, tokens) for i, tokens in enumerate(rows)]
+
+
+def _params(name):
+    """Defaults, except a logcluster support small enough for tiny corpora."""
+    return LogClusterParams(min_support=2) if name == "logcluster" else None
+
+
+def _groups(name, params, records):
+    """The miner's (template_tokens, member_ids) groups, through the
+    registry entry that ``fit`` uses."""
+    params_cls, miner = parsers._REGISTRY[name]
+    return miner(records, **asdict(params or params_cls()))
+
+
+def _assert_partition(records, groups):
+    """Every record is in exactly one group."""
+    assert sorted(i for _, ids in groups for i in ids) == \
+        sorted(r.line_id for r in records)
+
+
+def _members(records, groups):
+    """(template, record) for every member of every group."""
+    by_id = {r.line_id: r for r in records}
+    return [(EventTemplate(template_id="T", tokens=tuple(tokens)), by_id[i])
+            for tokens, ids in groups for i in ids]
+
+
+def _literals_in_order(tmpl, tokens) -> bool:
+    it = iter(tokens)
+    return all(lit in it for lit in tmpl.tokens if lit != WILDCARD)
+
+
+def _assert_built_from(ts, groups):
+    assert [(t.template_id, t.tokens, t.support) for t in ts.templates] == \
+        [(f"T{k}", tuple(tokens), len(ids)) for k, (tokens, ids) in enumerate(groups, 1)]
 
 
 MIXED_ROWS = [
@@ -31,9 +68,11 @@ MIXED_ROWS = [
 class TestFit:
     @pytest.mark.parametrize("name", ("drain", "spell", "iplom"))
     def test_singleton_corpus(self, name):
-        ts = fit(name, None, _corpus([["Send", "done"]]))
+        records = _corpus([["Send", "done"]])
+        ts = fit(name, None, records)
         assert [(t.tokens, t.support) for t in ts.templates] == [(("Send", "done"), 1)]
-        assert ts.assignment == {1: "T1"}
+        assert [(list(tokens), ids) for tokens, ids in _groups(name, None, records)] \
+            == [(["Send", "done"], [1])]
 
     def test_singleton_corpus_logcluster_gap(self):
         # with min_support >= 2 a lone record has no frequent words, so the
@@ -115,43 +154,31 @@ class TestPartitionProperties:
     @pytest.mark.parametrize("name", ALL_PARSERS)
     def test_every_record_assigned_once(self, name):
         records = _corpus(MIXED_ROWS)
-        ts = fit(name, None if name != "logcluster" else LogClusterParams(min_support=2),
-                 records)
-        assert set(ts.assignment) == {r.line_id for r in records}
-        assert sum(t.support for t in ts.templates) == len(records)
-        ids = {t.template_id for t in ts.templates}
-        assert len(ids) == len(ts.templates)
-        assert set(ts.assignment.values()) <= ids
+        groups = _groups(name, _params(name), records)
+        _assert_partition(records, groups)
+        _assert_built_from(fit(name, _params(name), records), groups)
 
     @pytest.mark.parametrize("name", ("drain", "spell", "iplom"))
     def test_templates_match_assigned_records(self, name):
         records = _corpus(MIXED_ROWS)
-        ts = fit(name, None, records)
-        by_id = {t.template_id: t for t in ts.templates}
-        for rec in records:
-            assert by_id[ts.assignment[rec.line_id]].matches(rec.tokens)
+        for tmpl, rec in _members(records, _groups(name, None, records)):
+            assert tmpl.matches(rec.tokens)
 
     @pytest.mark.parametrize("name", ALL_PARSERS)
     def test_monotone_specialization(self, name):
         records = _corpus(MIXED_ROWS)
-        ts = fit(name, None if name != "logcluster" else LogClusterParams(min_support=2),
-                 records)
-        by_id = {t.template_id: t for t in ts.templates}
-        for rec in records:
-            literals = [t for t in by_id[ts.assignment[rec.line_id]].tokens
-                        if t != WILDCARD]
-            it = iter(rec.tokens)
-            assert all(lit in it for lit in literals), (name, rec.tokens, literals)
+        for tmpl, rec in _members(records, _groups(name, _params(name), records)):
+            assert _literals_in_order(tmpl, rec.tokens), (name, rec.tokens, tmpl)
 
     @pytest.mark.parametrize("name", ALL_PARSERS)
     def test_fit_deterministic(self, name):
         records = _corpus(MIXED_ROWS)
-        params = None if name != "logcluster" else LogClusterParams(min_support=2)
-        a = fit(name, params, records)
-        b = fit(name, params, records)
+        a = fit(name, _params(name), records)
+        b = fit(name, _params(name), records)
         assert [(t.template_id, t.tokens, t.support) for t in a.templates] == \
             [(t.template_id, t.tokens, t.support) for t in b.templates]
-        assert a.assignment == b.assignment
+        assert _groups(name, _params(name), records) == \
+            _groups(name, _params(name), records)
 
     def test_parsers_disagree_freely(self):
         # heterogeneity: each parser honors its own invariants; template
@@ -159,8 +186,7 @@ class TestPartitionProperties:
         records = _corpus(MIXED_ROWS)
         counts = {}
         for name in ALL_PARSERS:
-            params = None if name != "logcluster" else LogClusterParams(min_support=2)
-            counts[name] = len(fit(name, params, records).templates)
+            counts[name] = len(fit(name, _params(name), records).templates)
         assert all(c >= 1 for c in counts.values())
 
     @given(st.lists(st.lists(st.sampled_from(
@@ -170,17 +196,12 @@ class TestPartitionProperties:
     def test_partition_holds_on_random_corpora(self, rows):
         records = _corpus(rows)
         for name in ALL_PARSERS:
-            params = None if name != "logcluster" else LogClusterParams(min_support=2)
-            ts = fit(name, params, records)
-            assert set(ts.assignment) == {r.line_id for r in records}
-            assert sum(t.support for t in ts.templates) == len(records)
-            by_id = {t.template_id: t for t in ts.templates}
-            for rec in records:
-                tmpl = by_id[ts.assignment[rec.line_id]]
+            groups = _groups(name, _params(name), records)
+            _assert_partition(records, groups)
+            _assert_built_from(fit(name, _params(name), records), groups)
+            for tmpl, rec in _members(records, groups):
                 assert tmpl.tokens
-                literals = [t for t in tmpl.tokens if t != WILDCARD]
-                it = iter(rec.tokens)
-                assert all(lit in it for lit in literals), (name, rec.tokens, tmpl)
+                assert _literals_in_order(tmpl, rec.tokens), (name, rec.tokens, tmpl)
                 if name != "logcluster":
                     assert tmpl.matches(rec.tokens), (name, rec.tokens, tmpl)
 
@@ -231,21 +252,3 @@ class TestListAndExport:
                                         "drain\tT10\tSend done\t2\n")
         empty = TemplateSet(parser_name="drain", parser_params={})
         assert export_templates(empty) == ""
-
-    def test_register_custom_parser(self):
-        class NullParams:
-            pass
-
-        def fit_null(params, records):
-            ts = TemplateSet(parser_name="null", parser_params={})
-            ts.templates.append(EventTemplate(template_id="T1",
-                                              tokens=(WILDCARD,),
-                                              support=len(records)))
-            for rec in records:
-                ts.assignment[rec.line_id] = "T1"
-            return ts
-
-        register_parser("null", NullParams, lambda p, r: fit_null(p, r))
-        ts = fit("null", None, _corpus([["a"], ["b"]]))
-        assert ts.templates[0].support == 2
-        assert default_params("null").__class__ is NullParams
