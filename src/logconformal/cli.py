@@ -117,6 +117,8 @@ def _grid(cfg: dict, args) -> tuple[float, ...]:
         grid = cfg.get("grid", evalharness.DEFAULT_GRID)
         if not isinstance(grid, (list, tuple)):
             raise _ConfigError(f"grid must be a list of numbers, got {grid!r}")
+    if not grid:
+        raise _ConfigError("grid must hold at least one epsilon")
     return tuple(_level(eps, "grid value") for eps in grid)
 
 
@@ -211,12 +213,10 @@ def cmd_detect(args) -> int:
         print(f"warning: skipped {skipped} unparsable lines", file=sys.stderr)
 
     verdicts = detector.detect_batch(models, records, detector.DetectorConfig(epsilon=eps))
-    alarms = [v for v in verdicts if v.label == detector.ANOMALY]
     out_path = _path(cfg, "alarms", args.out, default="alarms.jsonl")
     with open(out_path, "w", encoding="utf-8") as fh:
-        for v in alarms:
-            fh.write(detector.render_alarm_line(v) + "\n")
-    print(f"processed={len(records)} alarms={len(alarms)} epsilon={eps} out={out_path}")
+        alarms = detector.write_alarms(fh, records, verdicts)
+    print(f"processed={len(records)} alarms={alarms} epsilon={eps} out={out_path}")
     return EXIT_OK
 
 

@@ -107,3 +107,36 @@ def render_alarm_line(verdict: Verdict) -> str:
     if verdict.error is not None:
         doc["error"] = verdict.error
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+_ALARM_HEAD = '{"label":"anomaly","line_id":'
+
+
+def write_alarms(fh, records, verdicts: list[Verdict]) -> int:
+    """Write ``render_alarm_line`` of each anomaly verdict, one per line, and
+    return how many were written.
+
+    ``verdicts`` must be ``detect_batch``'s output for ``records``, so that
+    records with equal tokens share all of a verdict but its ``line_id``.
+    Each such sequence is rendered once; its lines are that text with their
+    own id spliced in. This keeps the bytes: with sorted keys a line without
+    an error starts with ``_ALARM_HEAD`` and then the id, which ``json.dumps``
+    writes as ``str(int)``. Error verdicts are never shared and are rendered
+    one by one.
+    """
+    tails: dict[tuple[str, ...], str] = {}
+    alarms = 0
+    for rec, v in zip(records, verdicts, strict=True):
+        if v.label != ANOMALY:
+            continue
+        alarms += 1
+        if v.error is not None:
+            fh.write(render_alarm_line(v) + "\n")
+            continue
+        tail = tails.get(rec.tokens)
+        if tail is None:
+            line = render_alarm_line(v)
+            tail = line[len(_ALARM_HEAD) + len(str(v.line_id)):] + "\n"
+            tails[rec.tokens] = tail
+        fh.write(_ALARM_HEAD + str(v.line_id) + tail)
+    return alarms

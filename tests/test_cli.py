@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logconformal
+from logconformal import cli, conformal, detector
 from logconformal.cli import main
+from logconformal.detector import ANOMALY, DetectorConfig, render_alarm_line
 from logconformal.evalharness import IIOT_PROFILE
+from logconformal.templates import WILDCARD
+
+from conftest import graded_models, make_record
 
 
 def _config(tmp_path, **extra):
@@ -260,6 +265,103 @@ class TestDetect:
                      "--input", str(tmp_path / "corpus" / "test.log")]) == 2
 
 
+class TestAlarmSplice:
+    """detect renders each alarmed token sequence once and splices every
+    other line's id into that text; the file must still hold exactly
+    ``render_alarm_line`` of each alarm."""
+
+    BAD = ("valve", "shut")
+    # ("pump", "ok") alarms at ids of one, two and three digits; it and
+    # ("valve",) alarm with max_p 0.25 and 0.5, at ids sharing those digits
+    ROWS = [(("pump", "ok"), 9), (("pump", "ok"), 10), (BAD, 7),
+            (("totally", "unrelated"), 25), (("pump", "ok"), 100),
+            (("pump", "ok", "1"), 11), (BAD, 33), (("pump", "ok"), 2),
+            (("totally", "unrelated"), 3333), (("valve",), 5), (("valve",), 50),
+            (("pump", "ok"), 250)]
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("splice")
+        conformal.save_bundle(graded_models(),
+                              {"format_template": "<Content>", "mask_rules": []},
+                              tmp_path / "m.bundle")
+        (tmp_path / "in.log").touch()  # detect checks that its input exists
+        return tmp_path
+
+    @staticmethod
+    def _failing_on(bad, mp):
+        """Make every record whose tokens are ``bad`` fail to score."""
+        pvalue_sets_for = detector.pvalue_sets_for
+
+        def flaky(models, record):
+            if record.tokens == bad:
+                raise RuntimeError("scoring exploded")
+            return pvalue_sets_for(models, record)
+        mp.setattr(detector, "pvalue_sets_for", flaky)
+
+    @staticmethod
+    def _detect(tmp_path, records, eps, mp):
+        """Run ``detect`` on ``records`` as if read from the input file;
+        return the alarm file's text and the verdicts it should hold."""
+        mp.setattr(cli, "read_log_file", lambda path, schema: (records, 0))
+        out = tmp_path / "alarms.jsonl"
+        assert main(["detect", "--model", str(tmp_path / "m.bundle"),
+                     "--input", str(tmp_path / "in.log"),
+                     "--epsilon", repr(eps), "--out", str(out)]) == 0
+        models, _ = conformal.load_bundle(tmp_path / "m.bundle")
+        verdicts = detector.detect_batch(models, records, DetectorConfig(epsilon=eps))
+        return out.read_text(encoding="utf-8"), verdicts
+
+    @given(pool=st.lists(st.lists(st.sampled_from(["pump", "ok", "valve", "shut",
+                                                   "alarm", "x", WILDCARD]),
+                                  min_size=1, max_size=4).map(tuple),
+                         min_size=1, max_size=5),
+           rows=st.lists(st.tuples(st.integers(0, 4),
+                                   st.sampled_from([1, 2, 3, 5, 9, 10, 25, 33,
+                                                    99, 100, 333, 1000, 3333])
+                                   | st.integers(1, 10**7)),
+                         max_size=30),
+           eps=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0])
+           | st.floats(0.0, 1.0),
+           bad=st.none() | st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_file_equals_rendering_each_alarm(self, bundle, pool, rows, eps, bad):
+        records = [make_record(line_id, pool[0]) for line_id in (9, 10, 100)]
+        records += [make_record(line_id, pool[k % len(pool)]) for k, line_id in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            if bad is not None:
+                self._failing_on(pool[bad % len(pool)], mp)
+            written, verdicts = self._detect(bundle, records, eps, mp)
+        assert written == "".join(render_alarm_line(v) + "\n"
+                                  for v in verdicts if v.label == ANOMALY)
+
+    def test_one_render_per_alarmed_sequence_and_error_line(self, bundle,
+                                                            monkeypatch, capsys):
+        calls = []
+
+        def counting(verdict):
+            calls.append(verdict.line_id)
+            return render_alarm_line(verdict)
+        monkeypatch.setattr(detector, "render_alarm_line", counting)
+        self._failing_on(self.BAD, monkeypatch)
+        records = [make_record(line_id, tokens) for tokens, line_id in self.ROWS]
+        written, verdicts = self._detect(bundle, records, 0.9, monkeypatch)
+
+        alarmed = [(rec.tokens, v) for rec, v in zip(records, verdicts)
+                   if v.label == ANOMALY]
+        errors = [v.line_id for _, v in alarmed if v.error is not None]
+        assert errors == [7, 33]
+        assert {t for t, v in alarmed if v.error is None} == {
+            ("pump", "ok"), ("totally", "unrelated"), ("valve",)}
+        # the first line of each alarmed sequence, and every error line
+        assert calls == [9, 7, 25, 33, 5]
+        assert written == "".join(render_alarm_line(v) + "\n"
+                                  for _, v in alarmed)
+        assert len(written.splitlines()) == 11
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"processed=12 alarms=11 epsilon=0.9 out={bundle / 'alarms.jsonl'}")
+
+
 class TestEval:
     def test_eval_writes_report(self, workdir, capsys):
         tmp_path, cfg = workdir
@@ -317,6 +419,7 @@ class TestEval:
     ("eval", {"grid": "ab"}),
     ("eval", {"grid": [2.0]}),
     ("eval", {"grid": [-0.1]}),
+    ("eval", {"grid": []}),
     ("eval", {"synth": {"n_train": "x"}}),
     ("eval", {"synth": "x"}),
     ("eval", {"seed": "x"}),

@@ -51,3 +51,24 @@ def test_dp_runs_are_counted(tracing):
         detector.detect_batch(graded_models(), [make_record(2, ["pump", "ok"])],
                               DetectorConfig())
         assert tr.dp[("", "detect")][0] > 0
+
+
+def test_detect_renders_through_the_traced_attribute(tracing, tmp_path):
+    # detect renders one line per alarmed token sequence and splices the
+    # rest; that render must still reach the tracer's detector.render
+    bundle, log, out = tmp_path / "m.bundle", tmp_path / "in.log", tmp_path / "a.jsonl"
+    conformal.save_bundle(graded_models(),
+                          {"format_template": "<Content>", "mask_rules": []}, bundle)
+    log.write_text("totally unrelated\npump ok 1\ntotally unrelated\n"
+                   "alarm x\ntotally unrelated\n", encoding="utf-8")
+    tr = tracing.Tracer()
+    with tracing.instrument(tr):
+        code, _, err = tracing._run_stage(
+            tr, "detect", ["detect", "--model", str(bundle), "--input", str(log),
+                           "--epsilon", "0.3", "--out", str(out)])
+    assert code == 0, err
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+    calls = sum(n for (_, name), (_, n) in tr.aggregates.items()
+                if name == "detector.render")
+    assert calls == 2
+    assert tr.aggregate_time("detect", "detector.render") > 0
