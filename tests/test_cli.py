@@ -419,7 +419,6 @@ class TestEval:
     ("eval", {"grid": "ab"}),
     ("eval", {"grid": [2.0]}),
     ("eval", {"grid": [-0.1]}),
-    ("eval", {"grid": []}),
     ("eval", {"synth": {"n_train": "x"}}),
     ("eval", {"synth": "x"}),
     ("eval", {"seed": "x"}),
@@ -427,6 +426,7 @@ class TestEval:
     ("train", {"paths": {"model": 5}}),
     ("train", {"mask_rules": 5}),
     ("train", {"format_template": 5}),
+    ("eval", {"grid": []}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, command, override):
     log = tmp_path / "in.log"
