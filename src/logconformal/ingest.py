@@ -174,10 +174,17 @@ class VerificationReport:
     entries: int
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def _record_payload(record: LogRecord) -> bytes:
-    doc = {"line_id": record.line_id, "headers": record.headers,
-           "content": record.content, "tokens": list(record.tokens)}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The bytes of ``json.dumps`` of the record's four fields with
+    ``sort_keys=True`` and ``separators=(",", ":")``, built directly."""
+    headers = ",".join(f"{_json_str(k)}:{_json_str(v)}"
+                       for k, v in sorted(record.headers.items()))
+    tokens = ",".join(map(_json_str, record.tokens))
+    return (f'{{"content":{_json_str(record.content)},"headers":{{{headers}}},'
+            f'"line_id":{record.line_id},"tokens":[{tokens}]}}').encode("ascii")
 
 
 def _entry_digest(index: int, payload_digest: bytes, prev_digest: bytes) -> bytes:

@@ -7,6 +7,14 @@ most similar cluster when the fraction of positions with exactly equal
 tokens reaches the similarity threshold, and every differing position of
 the cluster template becomes a wildcard. Otherwise the record seeds a new
 cluster.
+
+A repeated token sequence skips the search only while the tree is exactly
+as it was after that sequence last joined a cluster without changing it.
+After any other add the same sequence may take another path: ``<*>`` never
+counts as a match, so a sequence with many ``<*>`` tokens can miss the
+cluster it has just seeded; wildcards that other records add to its
+cluster can tip the choice to another cluster; and a new cluster can add a
+literal child that now captures it.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ class DrainTree:
         self.max_children = max_children
         self.root = _Node()
         self.clusters: list[_Cluster] = []
+        # bumped on every new cluster and every template change
+        self.version = 0
 
     def _path_tokens(self, tokens) -> list[str]:
         # never key on the final token; it is usually a variable tail
@@ -97,16 +107,21 @@ class DrainTree:
                 node = node.children.setdefault(WILDCARD, _Node())
         node.clusters.append(cluster)
 
-    def add(self, tokens, line_id: int):
+    def add(self, tokens, line_id: int) -> _Cluster:
         cluster = self._search(tokens)
         if cluster is None:
             cluster = _Cluster(template=list(tokens))
             self.clusters.append(cluster)
             self._insert(cluster)
+            self.version += 1
         else:
-            cluster.template = [t if t == o or t == WILDCARD else WILDCARD
-                                for t, o in zip(cluster.template, tokens)]
+            merged = [t if t == o or t == WILDCARD else WILDCARD
+                      for t, o in zip(cluster.template, tokens)]
+            if merged != cluster.template:
+                cluster.template = merged
+                self.version += 1
         cluster.member_ids.append(line_id)
+        return cluster
 
 
 def fit_drain(records, depth: int = 4, sim_threshold: float = 0.5,
@@ -114,6 +129,16 @@ def fit_drain(records, depth: int = 4, sim_threshold: float = 0.5,
     """Group records; returns (template, line_ids) pairs in creation order."""
     tree = DrainTree(depth=depth, sim_threshold=sim_threshold,
                      max_children=max_children)
+    # tokens -> (cluster, tree version) after an add that changed nothing;
+    # while the version holds, the same tokens would take the same path
+    settled: dict[tuple[str, ...], tuple[_Cluster, int]] = {}
     for rec in records:
-        tree.add(rec.tokens, rec.line_id)
+        hit = settled.get(rec.tokens)
+        if hit is not None and hit[1] == tree.version:
+            hit[0].member_ids.append(rec.line_id)
+            continue
+        version = tree.version
+        cluster = tree.add(rec.tokens, rec.line_id)
+        if tree.version == version:
+            settled[rec.tokens] = (cluster, version)
     return [(c.template, c.member_ids) for c in tree.clusters]

@@ -14,6 +14,13 @@ pass 1. Split products whose relative support falls below
 ``partition_support_threshold`` are pooled into a leftover partition at that
 step. Finally each partition becomes one template: positions with a single
 surviving value stay literal, the rest become wildcards.
+
+The passes work on distinct token sequences. A row is ``(tokens,
+line_ids)`` and weighs as many lines as it has ids, so every support and
+cardinality ratio counts lines, as if each line were partitioned on its own.
+Rows keep first-seen order, so values split in the same order too. One
+distinct row has no varying position, so "at most one line" may be tested
+on rows.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from __future__ import annotations
 from collections import defaultdict
 
 from ..templates import WILDCARD
+
+
+def _lines(rows) -> int:
+    return sum(len(ids) for _, ids in rows)
 
 
 def _distinct_per_position(rows) -> list[set]:
@@ -39,7 +50,7 @@ def _apply_support_threshold(buckets, parent_size, threshold):
     kept = []
     leftovers = []
     for bucket in buckets:
-        if len(bucket) / parent_size < threshold:
+        if _lines(bucket) / parent_size < threshold:
             leftovers.extend(bucket)
         else:
             kept.append(bucket)
@@ -92,9 +103,10 @@ def _step3(rows, lower_bound):
     to_one = all(len(v) == 1 for v in backward.values())
     if one_to and to_one:
         return _split_by_position(rows, p1)
-    if one_to and len(distinct[p1]) / len(rows) <= lower_bound:
+    lines = _lines(rows)
+    if one_to and len(distinct[p1]) / lines <= lower_bound:
         return _split_by_position(rows, p1)
-    if to_one and len(distinct[p2]) / len(rows) <= lower_bound:
+    if to_one and len(distinct[p2]) / lines <= lower_bound:
         return _split_by_position(rows, p2)
     return [rows]
 
@@ -102,28 +114,31 @@ def _step3(rows, lower_bound):
 def fit_iplom(records, partition_support_threshold: float = 0.0,
               lower_bound: float = 0.25, upper_bound: float = 0.9):
     """Partition records; returns a list of (template_tokens, line_ids)."""
-    by_count: dict[int, list] = defaultdict(list)
+    ids_of: dict[tuple[str, ...], list[int]] = {}
     for rec in records:
-        by_count[len(rec.tokens)].append((rec.tokens, rec.line_id))
+        ids_of.setdefault(rec.tokens, []).append(rec.line_id)
+    by_count: dict[int, list] = defaultdict(list)
+    for row in ids_of.items():
+        by_count[len(row[0])].append(row)
 
     final = []
     for count in sorted(by_count):
         level1 = by_count[count]
         level2 = []
         for part in _apply_support_threshold(
-                _step2(level1, upper_bound), len(level1),
+                _step2(level1, upper_bound), _lines(level1),
                 partition_support_threshold):
             level2.append(part)
         for part in level2:
             for out in _apply_support_threshold(
-                    _step3(part, lower_bound), len(part),
+                    _step3(part, lower_bound), _lines(part),
                     partition_support_threshold):
                 final.append(out)
 
     described = []
     for part in final:
         rows = [r[0] for r in part]
-        ids = [r[1] for r in part]
+        ids = [i for r in part for i in r[1]]
         if rows[0]:
             distinct = _distinct_per_position(rows)
             template = [next(iter(d)) if len(d) == 1 else WILDCARD for d in distinct]

@@ -15,24 +15,27 @@ from collections import Counter
 from ..templates import WILDCARD
 
 
-def _word_supports(token_rows) -> Counter:
-    """Number of records each word occurs in (per-record deduplicated)."""
-    support: Counter = Counter()
-    for tokens in token_rows:
-        support.update(dict.fromkeys(tokens, 1))
-    return support
-
-
 def fit_logcluster(records, min_support: int = 10):
-    """Cluster records; returns (template, line_ids) pairs in first-seen order."""
-    support = _word_supports(rec.tokens for rec in records)
+    """Cluster records; returns (template, line_ids) pairs in first-seen order.
+
+    Each distinct token sequence is keyed once; a word's support is the
+    number of lines, over all distinct sequences, that contain it.
+    """
+    ids_of: dict[tuple[str, ...], list[int]] = {}
+    for rec in records:
+        ids_of.setdefault(rec.tokens, []).append(rec.line_id)
+    support: Counter = Counter()
+    for tokens, ids in ids_of.items():
+        lines = len(ids)
+        for word in dict.fromkeys(tokens):
+            support[word] += lines
     frequent = {w for w, c in support.items() if c >= min_support}
 
     clusters: dict[tuple, dict] = {}
-    for rec in records:
+    for tokens, ids in ids_of.items():
         key_words = []
         gaps = [0]  # gap sizes around frequent words: len(key_words) + 1 slots
-        for tok in rec.tokens:
+        for tok in tokens:
             if tok in frequent:
                 key_words.append(tok)
                 gaps.append(0)
@@ -46,7 +49,7 @@ def fit_logcluster(records, min_support: int = 10):
         else:
             cluster["gap_seen"] = [seen or g > 0
                                    for seen, g in zip(cluster["gap_seen"], gaps)]
-        cluster["ids"].append(rec.line_id)
+        cluster["ids"].extend(ids)
 
     out = []
     for key, cluster in clusters.items():

@@ -5,7 +5,7 @@ the group whose literal tokens share the longest common subsequence with
 the record wins, provided that length reaches the threshold fraction of the
 record length. Positions where the merged record disagrees with the group
 template become wildcards. Records whose exact token sequence was seen
-before short-circuit into the same group.
+before join the same group.
 """
 
 from __future__ import annotations
@@ -39,28 +39,26 @@ def lcs_length(a, b) -> int:
 
 def fit_spell(records, lcs_threshold: float = 0.5):
     """Group records; returns (template, line_ids) pairs in creation order."""
-    groups: list[_Group] = []
-    seen: dict[tuple[str, ...], _Group] = {}
+    ids_of: dict[tuple[str, ...], list[int]] = {}
     for rec in records:
-        tokens = rec.tokens
-        group = seen.get(tokens)
-        if group is None:
-            best = None
-            best_len = 0
-            for cand in groups:
-                if len(cand.template) != len(tokens):
-                    continue
-                literals = [t for t in cand.template if t != WILDCARD]
-                common = lcs_length(literals, tokens)
-                if common > best_len:
-                    best, best_len = cand, common
-            if best is not None and tokens and best_len >= lcs_threshold * len(tokens):
-                best.template = [t if t == o or t == WILDCARD else WILDCARD
-                                 for t, o in zip(best.template, tokens)]
-                group = best
-            else:
-                group = _Group(template=list(tokens))
-                groups.append(group)
-            seen[tokens] = group
-        group.member_ids.append(rec.line_id)
+        ids_of.setdefault(rec.tokens, []).append(rec.line_id)
+    groups: list[_Group] = []
+    for tokens, ids in ids_of.items():
+        best = None
+        best_len = 0
+        for cand in groups:
+            if len(cand.template) != len(tokens):
+                continue
+            literals = [t for t in cand.template if t != WILDCARD]
+            common = lcs_length(literals, tokens)
+            if common > best_len:
+                best, best_len = cand, common
+        if best is not None and tokens and best_len >= lcs_threshold * len(tokens):
+            best.template = [t if t == o or t == WILDCARD else WILDCARD
+                             for t, o in zip(best.template, tokens)]
+            group = best
+        else:
+            group = _Group(template=list(tokens))
+            groups.append(group)
+        group.member_ids.extend(ids)
     return [(g.template, g.member_ids) for g in groups]

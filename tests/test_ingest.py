@@ -1,13 +1,16 @@
 import hashlib
+import json
 import random
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logconformal.errors import AppendFailed, MalformedFormat, UnparsableLine
-from logconformal.ingest import (ChainStore, LogRecord, _frames, compile_schema,
-                                 preprocess, read_log_file, read_records,
-                                 verify_chain)
+from logconformal.ingest import (ChainStore, LogRecord, _frames, _record_payload,
+                                 compile_schema, preprocess, read_log_file,
+                                 read_records, verify_chain)
 
 IIOT_FORMAT = "<Date> <Time> <SysId> <Eth> <Content>"
 HDFS_FORMAT = "<Date> <Time> <Pid> <Level> <Component>: <Content>"
@@ -133,6 +136,21 @@ def _store_with_entries(path, count):
                             tokens=("pump", "reading", str(i)))
             entries.append(store.append(rec))
     return store, entries
+
+
+# any code point, lone surrogates included
+any_text = st.text(st.characters(exclude_categories=()))
+
+
+@given(headers=st.dictionaries(any_text, any_text, max_size=4), content=any_text,
+       tokens=st.lists(any_text, max_size=6), line_id=st.integers())
+def test_payload_is_sorted_compact_json(headers, content, tokens, line_id):
+    record = LogRecord(line_id=line_id, headers=headers, content=content,
+                       tokens=tuple(tokens))
+    doc = {"line_id": line_id, "headers": headers, "content": content,
+           "tokens": tokens}
+    assert _record_payload(record) == \
+        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 class TestChainStore:

@@ -46,7 +46,7 @@ PINS = {
 }
 
 
-def run_pipeline(profile_name, tmp_path) -> dict[str, str]:
+def run_pipeline(profile_name, tmp_path, parser_params=None) -> dict[str, str]:
     data = tmp_path / "data"
     assert main(["synth", "--profile", profile_name, *SIZES, "--out", str(data)]) == 0
     profile = evalharness.PROFILES[profile_name]
@@ -56,10 +56,13 @@ def run_pipeline(profile_name, tmp_path) -> dict[str, str]:
     paths = {"train": data / "train.log", "test": data / "test.log",
              "labels": data / "labels.csv", "split": data / "split.csv", **outputs}
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({
+    config = {
         "format_template": profile.format_template,
         "mask_rules": [list(rule) for rule in profile.mask_rules],
-        "paths": {key: str(path) for key, path in paths.items()}}), encoding="utf-8")
+        "paths": {key: str(path) for key, path in paths.items()}}
+    if parser_params is not None:
+        config["parsers"] = parser_params
+    cfg.write_text(json.dumps(config), encoding="utf-8")
     for command in ("train", "detect", "eval"):
         assert main([command, "--config", str(cfg)]) == 0
     return {key: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -69,3 +72,33 @@ def run_pipeline(profile_name, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("profile_name", sorted(PINS))
 def test_output_bytes_pinned(profile_name, tmp_path):
     assert run_pipeline(profile_name, tmp_path) == PINS[profile_name]
+
+
+# Non-default miner parameters: a small drain fan-out, a pooling iplom
+# threshold and the smallest logcluster support exercise branches the
+# defaults never reach. Same seed and sizes as PINS; the digests were
+# recorded with the per-line miners of tests/perline_miners.py.
+TUNED_PARSERS = {
+    "drain": {"depth": 5, "sim_threshold": 0.7, "max_children": 2},
+    "spell": {"lcs_threshold": 0.7},
+    "iplom": {"partition_support_threshold": 0.05, "lower_bound": 0.5,
+              "upper_bound": 0.6},
+    "logcluster": {"min_support": 2},
+}
+TUNED_PINS = {
+    "iiot": {**PINS["iiot"],
+             "model":
+                 "257bd160a97776cc54bb7277a02cc8c1a2f09868598837c5d5b249a459432cfa",
+             "report":
+                 "d51b3e6d1a80b983b243bab176a944d42b24c64d38474e1384e5428becb28586"},
+    "hdfs": {**PINS["hdfs"],
+             "model":
+                 "ad84885e01ec4228dffce08581a3fd4cc24720aba312d939bd72653ddaf737cd",
+             "report":
+                 "8f0692d8096f9e374e24336f07b37c90e95e55d59f786a81da0f293fb0a51bf9"},
+}
+
+
+@pytest.mark.parametrize("profile_name", sorted(TUNED_PINS))
+def test_output_bytes_pinned_tuned_parsers(profile_name, tmp_path):
+    assert run_pipeline(profile_name, tmp_path, TUNED_PARSERS) == TUNED_PINS[profile_name]

@@ -12,6 +12,7 @@ from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
 from logconformal.templates import (WILDCARD, EventTemplate, TemplateSet,
                                     export_templates, list_templates)
 
+import perline_miners
 from conftest import make_record
 
 ALL_PARSERS = ("drain", "spell", "iplom", "logcluster")
@@ -252,3 +253,68 @@ class TestListAndExport:
                                         "drain\tT10\tSend done\t2\n")
         empty = TemplateSet(parser_name="drain", parser_params={})
         assert export_templates(empty) == ""
+
+
+PERLINE = {"drain": perline_miners.fit_drain, "spell": perline_miners.fit_spell,
+           "iplom": perline_miners.fit_iplom,
+           "logcluster": perline_miners.fit_logcluster}
+
+# defaults and non-defaults for every parameter
+PARAM_GRID = {
+    "drain": [DrainParams(depth=d, sim_threshold=s, max_children=c)
+              for d in (3, 4, 5) for s in (0.3, 0.5, 0.7) for c in (2, 3, 100)],
+    "spell": [SpellParams(lcs_threshold=t) for t in (0.3, 0.5, 0.7)],
+    "iplom": [IPLoMParams(partition_support_threshold=p, lower_bound=lo,
+                          upper_bound=up)
+              for p in (0.0, 0.05, 0.2) for lo in (0.25, 0.5, 0.9)
+              for up in (0.0, 0.6, 0.9, 1.0)],
+    "logcluster": [LogClusterParams(min_support=m) for m in (2, 3, 10)],
+}
+
+# a few distinct sequences, drawn many times over: the shape of real logs
+repeated_corpora = st.lists(
+    st.lists(st.sampled_from(["alpha", "beta", "gamma", "x1", "x2", "7", "go",
+                              WILDCARD]), min_size=1, max_size=5),
+    min_size=1, max_size=8, unique_by=tuple,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+class TestPerLineEquivalence:
+    """Visiting each distinct token sequence once changes no template,
+    support or group membership against the per-line miners."""
+
+    @staticmethod
+    def _assert_same_as_perline(name, params, rows):
+        records = _corpus(rows)
+        oracle = PERLINE[name](records, **asdict(params))
+        assert [(t.template_id, t.tokens, t.support)
+                for t in fit(name, params, records).templates] == \
+            [(f"T{k}", tuple(tokens), len(ids))
+             for k, (tokens, ids) in enumerate(oracle, 1)]
+        assert [(tuple(tokens), sorted(ids))
+                for tokens, ids in _groups(name, params, records)] == \
+            [(tuple(tokens), sorted(ids)) for tokens, ids in oracle]
+
+    @pytest.mark.parametrize("params, rows", [
+        # "<*>" never counts as a match, so each line misses the cluster
+        # the line before it seeded
+        (DrainParams(), ["<*> <*> a", "<*> <*> a", "<*> <*> a"]),
+        # a new cluster adds the literal child "go", which takes the last
+        # record away from the wildcard leaf it joined before
+        (DrainParams(depth=4, sim_threshold=0.5),
+         ["<*> b c", "go b c", "go z z", "go b c"]),
+        # "a b z d e" wildcards the literals that tied "a b c s t" to its
+        # cluster, so the other cluster of that leaf is now more similar
+        (DrainParams(depth=3, sim_threshold=0.3),
+         ["a b c d e", "a q r s t", "a b c s t", "a b c s t", "a b z d e",
+          "a b c s t"]),
+    ])
+    def test_drain_repeat_that_takes_another_path(self, params, rows):
+        self._assert_same_as_perline("drain", params, [r.split() for r in rows])
+
+    @pytest.mark.parametrize("name", ALL_PARSERS)
+    @given(data=st.data(), rows=repeated_corpora)
+    @settings(max_examples=300, deadline=None)
+    def test_same_groups_as_perline_miner(self, name, data, rows):
+        params = data.draw(st.sampled_from(PARAM_GRID[name]))
+        self._assert_same_as_perline(name, params, rows)
