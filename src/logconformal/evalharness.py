@@ -17,7 +17,8 @@ from pathlib import Path
 from .conformal import CalibrationModel, pvalues_for
 from .detector import ANOMALY, NORMAL, Verdict
 from .errors import InvalidSpec, LabelMismatch
-from .ingest import HeaderSchema, LogRecord, compile_schema, read_records
+from .ingest import (HeaderSchema, LogRecord, compile_schema, open_log,
+                     read_records)
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +276,40 @@ def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
 
 def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
                 profile_name: str = "") -> LabeledCorpus:
-    """Rehydrate a corpus written by :func:`write_corpus`."""
-    raw_lines = Path(log_path).read_text(encoding="utf-8").splitlines()
+    """Rehydrate a corpus written by :func:`write_corpus`.
+
+    The log is read as ``train`` and ``detect`` read theirs (see
+    :func:`~logconformal.ingest.open_log`), so line ids agree with theirs.
+    Raises :class:`LabelMismatch` when a split part is neither ``train`` nor
+    ``test``, a split id names no line, a test line has no label, or a
+    training line is not labeled normal.
+    """
+    with open_log(log_path) as fh:
+        raw_lines = fh.read().split("\n")
+    if raw_lines[-1] == "":
+        raw_lines.pop()
     records, _ = read_records(raw_lines, schema, on_error="raise")
     labels: dict[int, str] = {}
     for row in Path(labels_path).read_text(encoding="utf-8").splitlines()[1:]:
         line_id, label = row.split(",")
         labels[int(line_id)] = label
-    train_ids: list[int] = []
-    test_ids: list[int] = []
+    parts: dict[str, list[int]] = {"train": [], "test": []}
     for row in Path(split_path).read_text(encoding="utf-8").splitlines()[1:]:
-        line_id, part = row.split(",")
-        (train_ids if part == "train" else test_ids).append(int(line_id))
+        text_id, part = row.split(",")
+        line_id = int(text_id)
+        if part not in parts:
+            raise LabelMismatch(f"split part {part!r} of line {line_id} "
+                                f"is neither 'train' nor 'test'")
+        if not 1 <= line_id <= len(records):
+            raise LabelMismatch(f"split line {line_id} is not in {log_path}")
+        parts[part].append(line_id)
+    train_ids, test_ids = parts["train"], parts["test"]
     for line_id in train_ids:
         if labels.get(line_id) != NORMAL:
             raise LabelMismatch(f"training line {line_id} is not normal")
+    for line_id in test_ids:
+        if line_id not in labels:
+            raise LabelMismatch(f"test line {line_id} has no label")
     return LabeledCorpus(records=records, labels=labels, train_ids=train_ids,
                          test_ids=test_ids, raw_lines=raw_lines, schema=schema,
                          profile_name=profile_name)

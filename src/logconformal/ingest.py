@@ -22,6 +22,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import AppendFailed, MalformedFormat, UnparsableLine
 
@@ -39,8 +40,7 @@ class HeaderSchema:
     mask_rules: list[tuple[re.Pattern, str]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One preprocessed log line."""
 
     line_id: int
@@ -111,22 +111,30 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
                         pattern=pattern, mask_rules=compiled_masks)
 
 
+def _split(line: str, schema: HeaderSchema) -> tuple[dict[str, str], str]:
+    """The header fields and the unmasked content of one raw line."""
+    m = schema.pattern.match(line.rstrip("\r\n"))
+    if m is None:
+        raise UnparsableLine(line)
+    headers = m.groupdict()
+    return headers, headers.pop("Content")
+
+
+def _mask(content: str, schema: HeaderSchema) -> tuple[str, ...]:
+    """Apply the mask rules to the content, in order, then split it."""
+    for pat, repl in schema.mask_rules:
+        content = pat.sub(repl, content)
+    return tuple(content.split())
+
+
 def preprocess(line: str, schema: HeaderSchema, line_id: int = 1) -> LogRecord:
     """Split a raw line into headers and masked, tokenized content.
 
     Raises :class:`UnparsableLine` when the line does not match the schema.
     The unmasked content is kept verbatim on the record.
     """
-    m = schema.pattern.match(line.rstrip("\r\n"))
-    if m is None:
-        raise UnparsableLine(line)
-    groups = m.groupdict()
-    content = groups.pop("Content")
-    masked = content
-    for pat, repl in schema.mask_rules:
-        masked = pat.sub(repl, masked)
-    return LogRecord(line_id=line_id, headers=groups, content=content,
-                     tokens=tuple(masked.split()))
+    headers, content = _split(line, schema)
+    return LogRecord(line_id, headers, content, _mask(content, schema))
 
 
 def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
@@ -134,24 +142,40 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
 
     ``on_error="skip"`` drops unparsable lines and counts them;
     ``on_error="raise"`` aborts on the first one. Returns (records, skipped).
+
+    Each record equals :func:`preprocess` of its line. The mask rules run
+    once per distinct content, and all records of one token sequence share
+    one tuple. Both maps hold only objects the records hold and live for
+    this call.
     """
     records: list[LogRecord] = []
     skipped = 0
-    line_id = 0
-    for raw in lines:
-        line_id += 1
+    tokens_of: dict[str, tuple[str, ...]] = {}
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for line_id, raw in enumerate(lines, 1):
         try:
-            records.append(preprocess(raw, schema, line_id=line_id))
+            headers, content = _split(raw, schema)
         except UnparsableLine:
             if on_error == "raise":
                 raise
             skipped += 1
+            continue
+        tokens = tokens_of.get(content)
+        if tokens is None:
+            tokens = _mask(content, schema)
+            tokens = tokens_of[content] = shared.setdefault(tokens, tokens)
+        records.append(LogRecord(line_id, headers, content, tokens))
     return records, skipped
+
+
+def open_log(path):
+    """Open a UTF-8 log for reading: invalid bytes replaced, universal newlines."""
+    return open(path, "r", encoding="utf-8", errors="replace")
 
 
 def read_log_file(path, schema: HeaderSchema, on_error: str = "skip"):
     """Read a UTF-8 log file (invalid bytes replaced), one record per line."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open_log(path) as fh:
         return read_records(fh, schema, on_error=on_error)
 
 
@@ -159,8 +183,7 @@ def read_log_file(path, schema: HeaderSchema, on_error: str = "skip"):
 # Hash-chained append-only store
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainedEntry:
+class ChainedEntry(NamedTuple):
     index: int
     payload_digest: bytes
     prev_digest: bytes

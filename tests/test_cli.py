@@ -442,3 +442,36 @@ def test_bad_config_value_is_config_error(tmp_path, command, override):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def _three_line_eval(tmp_path, labels, split):
+    """Run ``eval`` on a 3-line corpus with the given sidecar rows."""
+    log = tmp_path / "corpus.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n"
+                   "2019-06-01 00:00:01 SYS1 ETH0 Boot ok\n"
+                   "2019-06-01 00:00:02 SYS1 ETH0 Boot failed!\n", encoding="utf-8")
+    (tmp_path / "labels.csv").write_text("line_id,label\n" + labels,
+                                         encoding="utf-8")
+    (tmp_path / "split.csv").write_text("line_id,part\n" + split, encoding="utf-8")
+    paths = {"corpus": str(log), "labels": str(tmp_path / "labels.csv"),
+             "split": str(tmp_path / "split.csv")}
+    return _run_cli("eval", "--config", str(_config(tmp_path, paths=paths)),
+                    "--out", str(tmp_path / "sweep.csv"))
+
+
+def test_three_line_corpus_evaluates(tmp_path):
+    proc = _three_line_eval(tmp_path, "1,normal\n2,normal\n3,anomaly\n",
+                            "1,train\n2,train\n3,test\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("labels, split", [
+    ("1,normal\n2,normal\n", "1,train\n2,train\n3,test\n"),
+    ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,tset\n"),
+    ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,test\n4,test\n"),
+], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log"])
+def test_bad_sidecar_is_data_error(tmp_path, labels, split):
+    proc = _three_line_eval(tmp_path, labels, split)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -13,6 +13,7 @@ from logconformal.evalharness import (DEFAULT_GRID, HDFS_PROFILE, IIOT_PROFILE,
                                       render_sweep_table, score_metrics,
                                       significance_sweep, synth_corpus,
                                       write_corpus)
+from logconformal.ingest import compile_schema, read_log_file
 from logconformal.parsers import fit
 
 from conftest import graded_models, make_record
@@ -82,6 +83,26 @@ class TestSynthCorpus:
         assert [r.tokens for r in back.records] == [r.tokens for r in c.records]
         train_lines = paths["train_log"].read_text().splitlines()
         assert train_lines == c.raw_lines[:80]
+
+    def test_load_reads_lines_as_train_does(self, tmp_path):
+        # \x0c, \x1c, \x85 and \u2028 end a line for str.splitlines() but
+        # not for a file read with universal newlines; \xff is invalid UTF-8
+        log = tmp_path / "corpus.log"
+        log.write_bytes("S1 a one\r\nS2 b two\x0cthree\x1c \x85 \u2028 x\n"
+                        .encode("utf-8") + b"S1 c \xff four\n")
+        (tmp_path / "labels.csv").write_text("line_id,label\n1,normal\n2,normal\n"
+                                             "3,anomaly\n", encoding="utf-8")
+        (tmp_path / "split.csv").write_text("line_id,part\n1,train\n2,train\n"
+                                            "3,test\n", encoding="utf-8")
+        schema = compile_schema("<SysId> <Content>")
+        corpus = load_corpus(log, tmp_path / "labels.csv", tmp_path / "split.csv",
+                             schema)
+        assert corpus.records == read_log_file(log, schema, on_error="raise")[0]
+        assert [r.line_id for r in corpus.records] == [1, 2, 3]
+        assert corpus.records[1].content == "b two\x0cthree\x1c \x85 \u2028 x"
+        assert corpus.records[2].content == "c \ufffd four"
+        assert corpus.raw_lines[0] == "S1 a one"
+        assert [r.line_id for r in corpus.test_records] == [3]
 
 
 class TestScoreMetrics:

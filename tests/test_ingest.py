@@ -1,16 +1,17 @@
 import hashlib
 import json
 import random
+import re
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logconformal.errors import AppendFailed, MalformedFormat, UnparsableLine
-from logconformal.ingest import (ChainStore, LogRecord, _frames, _record_payload,
-                                 compile_schema, preprocess, read_log_file,
-                                 read_records, verify_chain)
+from logconformal.ingest import (ChainedEntry, ChainStore, LogRecord, _frames,
+                                 _record_payload, compile_schema, preprocess,
+                                 read_log_file, read_records, verify_chain)
 
 IIOT_FORMAT = "<Date> <Time> <SysId> <Eth> <Content>"
 HDFS_FORMAT = "<Date> <Time> <Pid> <Level> <Component>: <Content>"
@@ -124,6 +125,97 @@ class TestPreprocess:
         records, skipped = read_log_file(path, schema)
         assert skipped == 0
         assert records[0].tokens[0] == "hello"
+
+
+# Order-sensitive rules: "a" becomes "b" and then "<*>" only in this order,
+# and "c" masks to nothing, so a content can become empty after masking.
+MEMO_RULES = [("a", "b"), ("b", "<*>"), (r"\d+", "<*>"), ("c", "")]
+
+_memo_content = st.lists(st.sampled_from(["a", "b", "c", "ab", "ba", "a7b", "7",
+                                          "x1", "<*>", "cc"]), max_size=4).map(
+    " ".join)
+_memo_line = st.one_of(
+    st.builds(lambda sys_id, content, end: f"{sys_id} {content}{end}",
+              st.sampled_from(["S1", "S2"]), _memo_content,
+              st.sampled_from(["", "\n", "\r\n"])),
+    st.sampled_from(["", "\n", "nospace", "S1"]))  # unparsable
+# a small pool of distinct lines, drawn into a log with many repeats
+_memo_lines = st.lists(_memo_line, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40))
+
+
+def _masked_by_hand(content, rules):
+    for pattern, repl in rules:
+        content = re.sub(pattern, repl, content)
+    return tuple(content.split())
+
+
+class TestReadRecordsMemo:
+    @settings(max_examples=300)
+    @given(lines=_memo_lines,
+           rules=st.lists(st.sampled_from(MEMO_RULES), unique=True),
+           on_error=st.sampled_from(["skip", "raise"]))
+    def test_equals_preprocess_of_each_line(self, lines, rules, on_error):
+        schema = compile_schema("<SysId> <Content>", rules)
+        expected, errors = [], []
+        for line_id, line in enumerate(lines, 1):
+            try:
+                expected.append(preprocess(line, schema, line_id=line_id))
+            except UnparsableLine as exc:
+                errors.append(str(exc))
+        if on_error == "raise" and errors:
+            with pytest.raises(UnparsableLine) as exc:
+                read_records(lines, schema, on_error=on_error)
+            assert str(exc.value) == errors[0]
+            return
+        records, skipped = read_records(lines, schema, on_error=on_error)
+        assert records == expected
+        assert skipped == len(errors)
+        for rec in records:
+            assert rec.tokens == _masked_by_hand(rec.content, rules)
+        shared = {}
+        for rec in records:
+            assert shared.setdefault(rec.tokens, rec.tokens) is rec.tokens
+
+    def test_rules_apply_in_order(self):
+        schema = compile_schema("<SysId> <Content>", MEMO_RULES[:2])
+        lines = ["S1 a b", "S2 a b"]
+        assert preprocess(lines[0], schema).tokens == ("<*>", "<*>")
+        records, _ = read_records(lines, schema)
+        assert [r.tokens for r in records] == [("<*>", "<*>")] * 2
+
+    def test_one_tuple_per_token_sequence(self, tmp_path):
+        path = tmp_path / "in.log"
+        path.write_text("S1 retry 5 of 9\nS2 retry 6 of 9\nS1 retry 5 of 9\n"
+                        "S1 done\n", encoding="utf-8")
+        schema = compile_schema("<SysId> <Content>", [(r"\d+", "<*>")])
+        records, _ = read_log_file(path, schema)
+        a, b, c, d = records
+        assert a.tokens == ("retry", "<*>", "of", "<*>")
+        assert a.tokens is b.tokens is c.tokens
+        assert d.tokens == ("done",)
+
+
+class TestRecordTypes:
+    def test_log_record_fields(self):
+        rec = LogRecord(line_id=3, headers={"SysId": "S1"}, content="a 7",
+                        tokens=("a", "<*>"))
+        assert LogRecord._fields == ("line_id", "headers", "content", "tokens")
+        assert rec == (3, {"SysId": "S1"}, "a 7", ("a", "<*>"))
+        assert rec == LogRecord(3, {"SysId": "S1"}, "a 7", ("a", "<*>"))
+        assert (rec.line_id, rec.content, rec.tokens) == (3, "a 7", ("a", "<*>"))
+        with pytest.raises(AttributeError):
+            rec.tokens = ()
+
+    def test_chained_entry_fields(self):
+        entry = ChainedEntry(index=2, payload_digest=b"p", prev_digest=b"q",
+                             entry_digest=b"e")
+        assert ChainedEntry._fields == ("index", "payload_digest", "prev_digest",
+                                        "entry_digest")
+        assert entry == (2, b"p", b"q", b"e")
+        assert entry.index == 2
+        with pytest.raises(AttributeError):
+            entry.index = 3
 
 
 def _store_with_entries(path, count):
