@@ -223,7 +223,12 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     grid = _grid(cfg, args)
-    sources = [_path(cfg, key) for key in ("corpus", "labels", "split")]
+    keys = ("corpus", "labels", "split")
+    sources = [_path(cfg, key) for key in keys]
+    if any(sources) and not all(sources):
+        missing = ", ".join(f"paths.{k}" for k, src in zip(keys, sources) if not src)
+        raise _ConfigError(f"eval reads a corpus from files only when paths.corpus, "
+                           f"paths.labels and paths.split are all set; missing {missing}")
     if all(sources):
         schema, _, _ = _schema_from_config(cfg, args.format)
         corpus = evalharness.load_corpus(*sources, schema)

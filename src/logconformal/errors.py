@@ -18,7 +18,7 @@ class UnparsableLine(LogConformalError):
 
 
 class AppendFailed(LogConformalError):
-    """Chain store append could not complete; no partial entry was written."""
+    """The chain store cannot be opened, or an entry was not written in full."""
 
 
 class EmptyCorpus(LogConformalError):

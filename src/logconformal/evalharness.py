@@ -281,8 +281,8 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
     The log is read as ``train`` and ``detect`` read theirs (see
     :func:`~logconformal.ingest.open_log`), so line ids agree with theirs.
     Raises :class:`LabelMismatch` when a split part is neither ``train`` nor
-    ``test``, a split id names no line, a test line has no label, or a
-    training line is not labeled normal.
+    ``test``, a split id names no line or appears twice, a test line has no
+    label, or a training line is not labeled normal.
     """
     with open_log(log_path) as fh:
         raw_lines = fh.read().split("\n")
@@ -294,6 +294,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
         line_id, label = row.split(",")
         labels[int(line_id)] = label
     parts: dict[str, list[int]] = {"train": [], "test": []}
+    seen: set[int] = set()
     for row in Path(split_path).read_text(encoding="utf-8").splitlines()[1:]:
         text_id, part = row.split(",")
         line_id = int(text_id)
@@ -302,6 +303,9 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
                                 f"is neither 'train' nor 'test'")
         if not 1 <= line_id <= len(records):
             raise LabelMismatch(f"split line {line_id} is not in {log_path}")
+        if line_id in seen:
+            raise LabelMismatch(f"split line {line_id} appears more than once")
+        seen.add(line_id)
         parts[part].append(line_id)
     train_ids, test_ids = parts["train"], parts["test"]
     for line_id in train_ids:

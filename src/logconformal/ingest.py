@@ -15,6 +15,7 @@ entry_digest (32 B). The entry digest is SHA-256 over index || SHA-256(payload)
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -198,46 +199,72 @@ class VerificationReport:
 
 
 _json_str = json.encoder.encode_basestring_ascii
+_u32 = struct.Struct("<I").pack
+_u64 = struct.Struct("<Q").pack
+
+# Bounds of the payload caches below. A training log holds few distinct token
+# sequences and fewer header layouts; past the bound the least recently used
+# entry is dropped, which costs time but never changes a byte.
+TOKENS_CACHE_SIZE = 4096
+LAYOUT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=TOKENS_CACHE_SIZE)
+def _tokens_json(tokens: tuple[str, ...]) -> str:
+    """The items of the payload's ``tokens`` array, comma-joined."""
+    return ",".join(map(_json_str, tokens))
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _payload_layout(keys: tuple[str, ...]) -> tuple[tuple[str, ...], str]:
+    """For the header keys of a record, in their order on the record: the
+    keys sorted, and a ``%``-template of the payload whose slots take the
+    escaped content, the escaped header values in sorted key order, the line
+    id and the tokens of :func:`_tokens_json`."""
+    order = tuple(sorted(keys))
+    headers = ",".join(_json_str(k).replace("%", "%%") + ":%s" for k in order)
+    return order, f'{{"content":%s,"headers":{{{headers}}},"line_id":%s,"tokens":[%s]}}'
 
 
 def _record_payload(record: LogRecord) -> bytes:
     """The bytes of ``json.dumps`` of the record's four fields with
-    ``sort_keys=True`` and ``separators=(",", ":")``, built directly."""
-    headers = ",".join(f"{_json_str(k)}:{_json_str(v)}"
-                       for k, v in sorted(record.headers.items()))
-    tokens = ",".join(map(_json_str, record.tokens))
-    return (f'{{"content":{_json_str(record.content)},"headers":{{{headers}}},'
-            f'"line_id":{record.line_id},"tokens":[{tokens}]}}').encode("ascii")
+    ``sort_keys=True`` and ``separators=(",", ":")``, built directly.
+
+    The tokens and the header key layout come from bounded caches; only the
+    content and the header values are escaped for each record.
+    """
+    headers = record.headers
+    order, layout = _payload_layout(tuple(headers))
+    return (layout % (_json_str(record.content),
+                      *[_json_str(headers[k]) for k in order],
+                      record.line_id, _tokens_json(record.tokens))).encode("ascii")
 
 
-def _entry_digest(index: int, payload_digest: bytes, prev_digest: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(struct.pack("<Q", index))
-    h.update(payload_digest)
-    h.update(prev_digest)
-    return h.digest()
+def _entry_digest(index8: bytes, payload_digest: bytes, prev_digest: bytes) -> bytes:
+    """SHA-256 over the packed index, the payload digest and the previous digest."""
+    return hashlib.sha256(index8 + payload_digest + prev_digest).digest()
 
 
 class ChainStore:
     """Append-only hash chain over serialized records. Single writer.
 
-    The store keeps one append-mode handle on its file until :meth:`close`
-    (or the end of a ``with`` block); each entry is still written in one
-    buffer and flushed before :meth:`append` returns.
+    The store keeps one unbuffered append-mode handle on its file until
+    :meth:`close` (or the end of a ``with`` block); each entry reaches the
+    operating system in one ``write`` before :meth:`append` returns.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._next_index = 0
         self._prev_digest = GENESIS_DIGEST
-        if self.path.exists() and self.path.stat().st_size > 0:
-            report, self._prev_digest = _scan_chain(self.path.read_bytes())
-            if not report.valid:
-                raise AppendFailed(f"existing store fails verification at "
-                                   f"entry {report.first_bad_index}")
-            self._next_index = report.entries
         try:
-            self._fh = open(self.path, "ab")
+            if self.path.exists() and self.path.stat().st_size > 0:
+                report, self._prev_digest = _scan_chain(self.path.read_bytes())
+                if not report.valid:
+                    raise AppendFailed(f"existing store fails verification at "
+                                       f"entry {report.first_bad_index}")
+                self._next_index = report.entries
+            self._fh = open(self.path, "ab", buffering=0)
         except OSError as exc:
             raise AppendFailed(str(exc)) from exc
 
@@ -251,25 +278,40 @@ class ChainStore:
         self._fh.close()
 
     def append(self, record: LogRecord) -> ChainedEntry:
-        """Append one record; the entry is written in a single buffer."""
+        """Append one record as one frame, written whole before returning.
+
+        Raises :class:`AppendFailed` when the write fails or stops short; the
+        store then holds a torn tail, which :func:`verify_chain` reports.
+        """
+        index = self._next_index
+        prev = self._prev_digest
+        index8 = _u64(index)
         payload = _record_payload(record)
         payload_digest = hashlib.sha256(payload).digest()
-        entry = ChainedEntry(index=self._next_index,
-                             payload_digest=payload_digest,
-                             prev_digest=self._prev_digest,
-                             entry_digest=_entry_digest(self._next_index,
-                                                        payload_digest,
-                                                        self._prev_digest))
-        blob = struct.pack("<Q", entry.index) + payload + entry.prev_digest + entry.entry_digest
-        buf = struct.pack("<I", len(blob)) + blob
+        entry_digest = _entry_digest(index8, payload_digest, prev)
+        # length field: the 8-byte index, the payload and the two 32-byte digests
+        frame = b"".join((_u32(len(payload) + 72), index8, payload, prev, entry_digest))
         try:
-            self._fh.write(buf)
-            self._fh.flush()
+            written = self._fh.write(frame)
+            if written != len(frame):
+                self._finish(frame, written)
         except OSError as exc:
-            raise AppendFailed(str(exc)) from exc
-        self._next_index += 1
-        self._prev_digest = entry.entry_digest
-        return entry
+            raise AppendFailed(f"entry {index}: {exc}") from exc
+        self._next_index = index + 1
+        self._prev_digest = entry_digest
+        return ChainedEntry(index, payload_digest, prev, entry_digest)
+
+    def _finish(self, frame: bytes, written) -> None:
+        """Write the rest of a frame after a short write of ``written`` bytes;
+        a write that takes no byte raises :class:`AppendFailed`."""
+        done = 0
+        while written:
+            done += written
+            if done == len(frame):
+                return
+            written = self._fh.write(frame[done:])
+        raise AppendFailed(f"entry {self._next_index}: wrote {done} "
+                           f"of {len(frame)} bytes")
 
 
 def _frames(data: bytes):
@@ -295,7 +337,7 @@ def _scan_chain(data: bytes) -> tuple[VerificationReport, bytes]:
     prev = GENESIS_DIGEST
     end = 0
     for end, stored_index, payload, prev_digest, entry_digest in _frames(data):
-        expected = _entry_digest(stored_index, hashlib.sha256(payload).digest(),
+        expected = _entry_digest(_u64(stored_index), hashlib.sha256(payload).digest(),
                                  prev_digest)
         if stored_index != index or prev_digest != prev or entry_digest != expected:
             return VerificationReport(False, index, index), prev

@@ -469,9 +469,50 @@ def test_three_line_corpus_evaluates(tmp_path):
     ("1,normal\n2,normal\n", "1,train\n2,train\n3,test\n"),
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,tset\n"),
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,test\n4,test\n"),
-], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log"])
+    ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n2,test\n3,test\n"),
+], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log",
+        "split-id-repeated"])
 def test_bad_sidecar_is_data_error(tmp_path, labels, split):
     proc = _three_line_eval(tmp_path, labels, split)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("keys", [("corpus",), ("labels",), ("split",),
+                                  ("corpus", "labels"), ("corpus", "split"),
+                                  ("labels", "split")], ids="+".join)
+def test_eval_with_some_corpus_paths_is_config_error(tmp_path, keys):
+    """``eval`` reads a corpus from files only with all three paths; one or
+    two of them is a config error that names the missing ones, not a quiet
+    fall-back to a synthetic corpus."""
+    for name in ("corpus", "labels", "split"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    paths = {key: str(tmp_path / key) for key in keys}
+    proc = _run_cli("eval", "--config", str(_config(tmp_path, paths=paths)),
+                    "--out", str(tmp_path / "sweep.csv"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    missing = [f"paths.{k}" for k in ("corpus", "labels", "split") if k not in keys]
+    assert proc.stderr.splitlines()[0].endswith("missing " + ", ".join(missing))
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unusable_chain_path_is_data_error(tmp_path, where):
+    log = tmp_path / "in.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+    chain = tmp_path / "chain.d"
+    if where == "directory":
+        chain.mkdir()
+        (chain / "entry").write_bytes(b"x" * 100)  # a directory of non-zero size
+    else:
+        chain = chain / "audit.chain"
+    cfg = _config(tmp_path, paths={"chain": str(chain)})
+    proc = _run_cli("train", "--config", str(cfg), "--input", str(log),
+                    "--model", str(tmp_path / "m.bundle"))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert not (tmp_path / "m.bundle").exists()

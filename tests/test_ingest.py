@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logconformal.errors import AppendFailed, MalformedFormat, UnparsableLine
-from logconformal.ingest import (ChainedEntry, ChainStore, LogRecord, _frames,
-                                 _record_payload, compile_schema, preprocess,
-                                 read_log_file, read_records, verify_chain)
+from logconformal.ingest import (TOKENS_CACHE_SIZE, ChainedEntry, ChainStore,
+                                 LogRecord, _frames, _record_payload,
+                                 compile_schema, preprocess, read_log_file,
+                                 read_records, verify_chain)
+
+import reference_chain
 
 IIOT_FORMAT = "<Date> <Time> <SysId> <Eth> <Content>"
 HDFS_FORMAT = "<Date> <Time> <Pid> <Level> <Component>: <Content>"
@@ -340,3 +343,127 @@ class TestChainStore:
             mutated[off] ^= 1 << rng.randrange(8)
             mutant_path.write_bytes(bytes(mutated))
             assert not verify_chain(mutant_path).valid
+
+
+# Header keys that recur across records, so that one key set arrives in
+# several orders; "%" and non-ASCII keys meet the cached layout's escaping.
+HEADER_KEYS = st.sampled_from(["Date", "Time", "SysId", "Eth", "%s", "100%", "Zeit\u00e4"])
+
+
+@st.composite
+def chain_batches(draw):
+    """Records in batches; the store is closed and reopened between batches.
+
+    Records draw their tokens from a small pool, half of them as the pool's
+    own tuple object and half as an equal tuple of their own.
+    """
+    pool = draw(st.lists(st.lists(any_text, max_size=5).map(tuple),
+                         min_size=1, max_size=4))
+    headers = st.dictionaries(st.one_of(HEADER_KEYS, any_text), any_text, max_size=5)
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        batch = []
+        for _ in range(draw(st.integers(0, 6))):
+            tokens = pool[draw(st.integers(0, len(pool) - 1))]
+            if draw(st.booleans()):
+                tokens = tuple(list(tokens))  # equal, but not the pool's object
+            batch.append(LogRecord(draw(st.integers()), draw(headers),
+                                   draw(any_text), tokens))
+        batches.append(batch)
+    return batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=chain_batches())
+def test_frames_match_reference_writer(tmp_path_factory, batches):
+    path = tmp_path_factory.mktemp("chain") / "c.bin"
+    entries = []
+    for batch in batches:
+        with ChainStore(path) as store:
+            entries += [store.append(rec) for rec in batch]
+    records = [rec for batch in batches for rec in batch]
+    expected = reference_chain.frames(records)
+    assert (path.read_bytes() if path.exists() else b"") == expected
+    assert [e.entry_digest for e in entries] == \
+        [digest for *_, digest in _frames(expected)]
+    assert verify_chain(path).entries == len(records)
+
+
+def test_frames_match_reference_past_cache_bound(tmp_path):
+    """More distinct token tuples than the tokens cache holds, each seen
+    twice, far apart: evicted entries are rebuilt to the same bytes."""
+    records = [LogRecord(i + 1, {"Eth": "ETH0", "SysId": f"S{i % 7}"},
+                         f"pump {i % (TOKENS_CACHE_SIZE + 50)}",
+                         ("pump", str(i % (TOKENS_CACHE_SIZE + 50))))
+               for i in range(2 * TOKENS_CACHE_SIZE + 100)]
+    with ChainStore(tmp_path / "c.bin") as store:
+        for rec in records:
+            store.append(rec)
+    assert (tmp_path / "c.bin").read_bytes() == reference_chain.frames(records)
+
+
+class _ShortWrites:
+    """A file handle that takes at most ``limits[k]`` bytes on its k-th write,
+    then whole writes; a limit of 0 takes nothing and writes nothing."""
+
+    def __init__(self, fh, limits):
+        self.fh, self.limits, self.calls = fh, list(limits), 0
+
+    def write(self, data):
+        self.calls += 1
+        limit = self.limits.pop(0) if self.limits else len(data)
+        return self.fh.write(data[:limit]) if limit else 0
+
+    def close(self):
+        self.fh.close()
+
+
+def _pump(i):
+    return LogRecord(i + 1, {"SysId": "S1"}, f"pump {i}", ("pump", str(i)))
+
+
+class TestAppendFailures:
+    def test_short_write_is_finished(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        with ChainStore(path) as store:
+            store.append(_pump(0))
+            handle = _ShortWrites(store._fh, [5, 1, 30])
+            monkeypatch.setattr(store, "_fh", handle)
+            store.append(_pump(1))
+            store.append(_pump(2))
+        assert handle.calls == 5  # four for the torn frame, one for the next
+        assert path.read_bytes() == reference_chain.frames([_pump(i) for i in range(3)])
+
+    @pytest.mark.parametrize("limits", [[0], [7, 0], [60, 12, 0]])
+    def test_stalled_write_raises(self, tmp_path, monkeypatch, limits):
+        path = tmp_path / "c.bin"
+        with ChainStore(path) as store:
+            store.append(_pump(0))
+            monkeypatch.setattr(store, "_fh", _ShortWrites(store._fh, limits))
+            with pytest.raises(AppendFailed, match="entry 1: wrote"):
+                store.append(_pump(1))
+        report = verify_chain(path)
+        assert report.first_bad_index == (None if sum(limits) == 0 else 1)
+
+    def test_failing_write_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        with ChainStore(path) as store:
+            store.append(_pump(0))
+
+            def no_space(data):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(store._fh, "write", no_space, raising=False)
+            with pytest.raises(AppendFailed, match="No space left"):
+                store.append(_pump(1))
+        assert verify_chain(path).entries == 1
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unusable_path_raises(self, tmp_path, where):
+        path = tmp_path / "d"
+        if where == "directory":
+            path.mkdir()
+            (path / "f").write_bytes(b"x" * 100)
+        else:
+            path = path / "c.bin"
+        with pytest.raises(AppendFailed):
+            ChainStore(path)
