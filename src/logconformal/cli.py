@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from . import conformal, detector, evalharness, parsers
-from .errors import (AppendFailed, BundleError, EmptyCorpus, EmptyTemplateSet,
-                     InvalidSpec, LabelMismatch, LogConformalError,
-                     MalformedFormat, NoParsers, UnknownParser, UnparsableLine)
+from .errors import (BundleError, EmptyCorpus, InvalidSpec, LogConformalError,
+                     MalformedFormat, UnknownParser)
 from .ingest import ChainStore, compile_schema, read_log_file, verify_chain
 
 EXIT_OK = 0
@@ -24,8 +23,6 @@ EXIT_DATA = 3
 EXIT_BUNDLE = 4
 
 _CONFIG_ERRORS = (MalformedFormat, UnknownParser, InvalidSpec)
-_DATA_ERRORS = (EmptyCorpus, EmptyTemplateSet, UnparsableLine, LabelMismatch,
-                AppendFailed, NoParsers)
 
 
 class _ConfigError(Exception):
@@ -51,11 +48,10 @@ def _section(cfg: dict, name: str) -> dict:
     return value
 
 
-def _path(cfg: dict, key: str, *flags, default=None):
-    """The first flag given, else ``paths.<key>`` of the config, else ``default``."""
-    for flag in flags:
-        if flag:
-            return flag
+def _path(cfg: dict, key: str, flag=None, default=None):
+    """The flag if given, else ``paths.<key>`` of the config, else ``default``."""
+    if flag:
+        return flag
     paths = _section(cfg, "paths")
     if key not in paths:
         return default
@@ -79,11 +75,10 @@ def _schema_from_config(cfg: dict, format_override: str | None):
 
 
 def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
-    wanted = cfg.get("parsers")
-    if not wanted:
-        return [(name, parsers.default_params(name)) for name in parsers.PARSER_NAMES]
+    wanted = cfg.get("parsers", {})
     if not isinstance(wanted, dict):
         raise _ConfigError("parsers must be an object of name -> parameters")
+    wanted = wanted or dict.fromkeys(parsers.PARSER_NAMES)  # absent or {}: all at defaults
     return [(name, parsers.params_from_dict(name, overrides))
             for name, overrides in wanted.items()]
 
@@ -184,7 +179,7 @@ def cmd_train(args) -> int:
                 store.append(rec)
 
     models = _train_models(cfg, records)
-    model_path = _path(cfg, "model", args.model, args.out, default="model.bundle")
+    model_path = _path(cfg, "model", args.model, default="model.bundle")
     schema_doc = {"format_template": fmt, "mask_rules": [list(r) for r in rules]}
     conformal.save_bundle(models, schema_doc, model_path)
     counts = ", ".join(f"{m.parser_name}={len(m.template_set.templates)}"
@@ -266,43 +261,41 @@ def build_parser() -> argparse.ArgumentParser:
                                              "anomaly detector")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--out", help="primary output path")
-        p.add_argument("--format", help="header format template override")
+    # each subcommand registers only the flags it reads
+    shared = {"--seed": {"type": int, "help": "RNG seed override"},
+              "--out": {"help": "primary output path"},
+              "--format": {"help": "header format template override"}}
 
-    p = sub.add_parser("synth", help="generate a labeled corpus")
-    common(p)
+    def command(name, func, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
+
+    p = command("synth", cmd_synth, "generate a labeled corpus", "--seed", "--out")
     p.add_argument("--profile", choices=sorted(evalharness.PROFILES))
     p.add_argument("--train", type=int, help="training lines")
     p.add_argument("--test", type=int, help="test lines")
     p.add_argument("--anomalies", type=int, help="planted anomalies")
-    p.set_defaults(func=cmd_synth, epsilon=None, grid=None)
 
-    p = sub.add_parser("train", help="fit parsers and calibrate")
-    common(p)
+    p = command("train", cmd_train, "fit parsers and calibrate", "--format")
     p.add_argument("--input", help="training log file")
     p.add_argument("--model", help="bundle output path")
-    p.set_defaults(func=cmd_train, epsilon=None, grid=None)
 
-    p = sub.add_parser("detect", help="score a log file against a bundle")
-    common(p)
+    p = command("detect", cmd_detect, "score a log file against a bundle", "--out")
     p.add_argument("--input", help="log file to score")
     p.add_argument("--model", help="bundle path")
     p.add_argument("--epsilon", type=float, help="significance level")
-    p.set_defaults(func=cmd_detect, grid=None)
 
-    p = sub.add_parser("eval", help="significance sweep on a labeled corpus")
-    common(p)
+    p = command("eval", cmd_eval, "significance sweep on a labeled corpus",
+                "--seed", "--out", "--format")
     p.add_argument("--grid", help="comma-separated epsilon grid")
     p.add_argument("--profile", choices=sorted(evalharness.PROFILES))
-    p.set_defaults(func=cmd_eval, epsilon=None)
 
-    p = sub.add_parser("verify-chain", help="check chain store integrity")
-    common(p)
+    p = command("verify-chain", cmd_verify_chain, "check chain store integrity")
     p.add_argument("--store", help="chain store path")
-    p.set_defaults(func=cmd_verify_chain, epsilon=None, grid=None)
 
     return ap
 
@@ -321,13 +314,7 @@ def main(argv=None) -> int:
     except BundleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUNDLE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except LogConformalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:
+    except (LogConformalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,6 +9,7 @@ nonconforming for that event class.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from bisect import bisect_left
@@ -172,11 +173,18 @@ def bundle_to_bytes(models: list[CalibrationModel], schema_doc: dict) -> bytes:
 
 
 def save_bundle(models: list[CalibrationModel], schema_doc: dict, path) -> None:
-    """Atomic write: the bundle appears complete or not at all."""
+    """Atomic write: the bundle appears complete or not at all, and a failed
+    write or rename leaves no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bundle_to_bytes(models, schema_doc))
-    tmp.replace(path)
+    data = bundle_to_bytes(models, schema_doc)
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def load_bundle(path) -> tuple[list[CalibrationModel], dict]:

@@ -9,7 +9,7 @@ vouches for normality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conformal import CalibrationModel, PValueSet, pvalues_for
 from .errors import NoParsers

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .conformal import CalibrationModel, pvalues_for
-from .detector import ANOMALY, NORMAL, Verdict
+from .detector import ANOMALY, NORMAL
 from .errors import InvalidSpec, LabelMismatch
 from .ingest import (HeaderSchema, LogRecord, compile_schema, open_log,
                      read_records)
@@ -191,7 +191,6 @@ class LabeledCorpus:
     test_ids: list[int]
     raw_lines: list[str]
     schema: HeaderSchema
-    profile_name: str = ""
 
     @property
     def train_records(self) -> list[LogRecord]:
@@ -240,8 +239,7 @@ def synth_corpus(seed: int, n_train: int, n_test: int, n_anomalies: int,
     return LabeledCorpus(records=records, labels=labels,
                          train_ids=list(range(1, n_train + 1)),
                          test_ids=list(range(n_train + 1, n_train + n_test + 1)),
-                         raw_lines=raw_lines, schema=schema,
-                         profile_name=profile.name)
+                         raw_lines=raw_lines, schema=schema)
 
 
 def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
@@ -274,15 +272,15 @@ def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
     return paths
 
 
-def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
-                profile_name: str = "") -> LabeledCorpus:
+def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> LabeledCorpus:
     """Rehydrate a corpus written by :func:`write_corpus`.
 
     The log is read as ``train`` and ``detect`` read theirs (see
     :func:`~logconformal.ingest.open_log`), so line ids agree with theirs.
-    Raises :class:`LabelMismatch` when a split part is neither ``train`` nor
-    ``test``, a split id names no line or appears twice, a test line has no
-    label, or a training line is not labeled normal.
+    Raises :class:`LabelMismatch` when a label is neither ``normal`` nor
+    ``anomaly``, a label id appears twice, a split part is neither ``train``
+    nor ``test``, a split id names no line or appears twice, a test line has
+    no label, or a training line is not labeled normal.
     """
     with open_log(log_path) as fh:
         raw_lines = fh.read().split("\n")
@@ -291,8 +289,14 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
     records, _ = read_records(raw_lines, schema, on_error="raise")
     labels: dict[int, str] = {}
     for row in Path(labels_path).read_text(encoding="utf-8").splitlines()[1:]:
-        line_id, label = row.split(",")
-        labels[int(line_id)] = label
+        text_id, label = row.split(",")
+        line_id = int(text_id)
+        if label not in (NORMAL, ANOMALY):
+            raise LabelMismatch(f"label {label!r} of line {line_id} is neither "
+                                f"'normal' nor 'anomaly'")
+        if line_id in labels:
+            raise LabelMismatch(f"label line {line_id} appears more than once")
+        labels[line_id] = label
     parts: dict[str, list[int]] = {"train": [], "test": []}
     seen: set[int] = set()
     for row in Path(split_path).read_text(encoding="utf-8").splitlines()[1:]:
@@ -315,8 +319,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema,
         if line_id not in labels:
             raise LabelMismatch(f"test line {line_id} has no label")
     return LabeledCorpus(records=records, labels=labels, train_ids=train_ids,
-                         test_ids=test_ids, raw_lines=raw_lines, schema=schema,
-                         profile_name=profile_name)
+                         test_ids=test_ids, raw_lines=raw_lines, schema=schema)
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +340,6 @@ class Metrics:
     @property
     def recall(self) -> float | None:
         return self.tp / (self.tp + self.fn) if self.tp + self.fn else None
-
-
-def score_metrics(verdicts: list[Verdict], labels: dict[int, str]) -> Metrics:
-    """Confusion counts with the anomaly label as the positive class."""
-    if {v.line_id for v in verdicts} != set(labels):
-        raise LabelMismatch("verdicts and labels cover different line ids")
-    tp = fp = fn = tn = 0
-    for v in verdicts:
-        truth_anomaly = labels[v.line_id] == ANOMALY
-        called_anomaly = v.label == ANOMALY
-        if called_anomaly and truth_anomaly:
-            tp += 1
-        elif called_anomaly:
-            fp += 1
-        elif truth_anomaly:
-            fn += 1
-        else:
-            tn += 1
-    return Metrics(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 @dataclass(frozen=True)

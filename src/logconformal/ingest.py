@@ -257,6 +257,7 @@ class ChainStore:
         self.path = Path(path)
         self._next_index = 0
         self._prev_digest = GENESIS_DIGEST
+        self._failed = None  # index of the entry whose frame was not written whole
         try:
             if self.path.exists() and self.path.stat().st_size > 0:
                 report, self._prev_digest = _scan_chain(self.path.read_bytes())
@@ -281,8 +282,13 @@ class ChainStore:
         """Append one record as one frame, written whole before returning.
 
         Raises :class:`AppendFailed` when the write fails or stops short; the
-        store then holds a torn tail, which :func:`verify_chain` reports.
+        store then holds a torn tail, which :func:`verify_chain` reports, and
+        every later append raises :class:`AppendFailed` too, since an entry
+        written after torn bytes could never verify.
         """
+        if self._failed is not None:
+            raise AppendFailed(f"entry {self._failed} failed to append; "
+                               f"the store takes no more entries")
         index = self._next_index
         prev = self._prev_digest
         index8 = _u64(index)
@@ -291,12 +297,14 @@ class ChainStore:
         entry_digest = _entry_digest(index8, payload_digest, prev)
         # length field: the 8-byte index, the payload and the two 32-byte digests
         frame = b"".join((_u32(len(payload) + 72), index8, payload, prev, entry_digest))
+        self._failed = index  # until the whole frame is written
         try:
             written = self._fh.write(frame)
             if written != len(frame):
                 self._finish(frame, written)
         except OSError as exc:
             raise AppendFailed(f"entry {index}: {exc}") from exc
+        self._failed = None
         self._next_index = index + 1
         self._prev_digest = entry_digest
         return ChainedEntry(index, payload_digest, prev, entry_digest)

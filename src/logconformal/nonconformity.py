@@ -37,11 +37,6 @@ class ScoreParams:
             raise ValueError(f"sigmoid center must be > 0, got {self.v}")
 
 
-def _tokens_of(obj) -> tuple[str, ...]:
-    tokens = getattr(obj, "tokens", obj)
-    return tuple(tokens)
-
-
 def edit_script(a, b) -> tuple[tuple[str, int], ...]:
     """Minimal-cost edit script transforming token sequence ``a`` into ``b``.
 
@@ -52,8 +47,6 @@ def edit_script(a, b) -> tuple[tuple[str, int], ...]:
     alignments the backtrace deterministically prefers match, then replace,
     then delete, then insert, working backward from the sequence ends.
     """
-    a = _tokens_of(a)
-    b = _tokens_of(b)
     m, n = len(a), len(b)
 
     # dp[i][j] = min ops to turn a[:i] into b[:j]
@@ -107,30 +100,21 @@ def _weight(x: int, v: float) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def default_center(template, record) -> float:
-    """Per-pair sigmoid center: the mean of the two token counts."""
-    return (len(_tokens_of(template)) + len(_tokens_of(record))) / 2.0
-
-
 def weighted_score(template, record, params: ScoreParams | None = None) -> float:
-    """Nonconformity of ``record`` against ``template``.
+    """Nonconformity of the tokens ``record`` against the tokens ``template``.
 
     With ``params`` omitted, the sigmoid center defaults to the mean of the
     two token counts, so edits in the first half of a record weigh > 0.5.
     """
-    a = _tokens_of(template)
-    b = _tokens_of(record)
-    if not a and not b:
-        return 0.0
-    v = params.v if params is not None else default_center(a, b)
-    ops = edit_script(a, b)
+    v = params.v if params is not None else (len(template) + len(record)) / 2.0
+    ops = edit_script(template, record)
     if not ops:
         return 0.0
     return sum(_weight(x, v) for _, x in ops)
 
 
-def nearest(ts: TemplateSet, record) -> tuple[str, float]:
-    """Id and score of the template of ``ts`` nearest to ``record``.
+def nearest(ts: TemplateSet, tokens) -> tuple[str, float]:
+    """Id and score of the template of ``ts`` nearest to ``tokens``.
 
     A positional match scores 0, the least possible score, so while the
     record is at most ``MAX_EXACT_GAP`` tokens longer than the shortest
@@ -140,7 +124,6 @@ def nearest(ts: TemplateSet, record) -> tuple[str, float]:
     """
     if not ts.templates:
         raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
-    tokens = _tokens_of(record)
     # a record of at most MAX_EXACT_GAP tokens is within the gap of any template
     if len(tokens) <= MAX_EXACT_GAP \
             or len(tokens) - min(len(t.tokens) for t in ts.templates) <= MAX_EXACT_GAP:

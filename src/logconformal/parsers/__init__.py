@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 from ..errors import EmptyCorpus, InvalidSpec, UnknownParser
 from ..nonconformity import nearest
-from ..templates import EventTemplate, TemplateSet, list_templates
+from ..templates import EventTemplate, TemplateSet
 from .drain import fit_drain
 from .iplom import fit_iplom
 from .logcluster import fit_logcluster
@@ -84,12 +84,6 @@ _REGISTRY: dict[str, tuple[type, object]] = {
 }
 
 
-def default_params(parser_name: str) -> ParserParams:
-    if parser_name not in _REGISTRY:
-        raise UnknownParser(parser_name)
-    return _REGISTRY[parser_name][0]()
-
-
 def params_from_dict(parser_name: str, overrides: dict | None) -> ParserParams:
     """Build a parser's params from config overrides.
 
@@ -149,11 +143,10 @@ def match_record(ts: TemplateSet, record) -> str | None:
     Ties go to the lexicographically smaller id; ``None`` only when the set
     has no templates.
     """
-    return nearest(ts, record)[0] if ts.templates else None
+    return nearest(ts, record.tokens)[0] if ts.templates else None
 
 
 __all__ = [
     "PARSER_NAMES", "DrainParams", "SpellParams", "IPLoMParams",
-    "LogClusterParams", "ParserParams", "fit", "match_record",
-    "list_templates", "default_params", "params_from_dict",
+    "LogClusterParams", "ParserParams", "fit", "match_record", "params_from_dict",
 ]

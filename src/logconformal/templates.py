@@ -49,12 +49,3 @@ def list_templates(ts: TemplateSet) -> list[EventTemplate]:
     """Templates in natural id order (T2 before T10)."""
     return sorted(ts.templates, key=lambda t: natural_key(t.template_id))
 
-
-def export_templates(ts: TemplateSet) -> str:
-    """Stable line-delimited export: parser, id, space-joined tokens, support."""
-    lines = []
-    for t in list_templates(ts):
-        lines.append("\t".join([ts.parser_name, t.template_id,
-                                " ".join(t.tokens), str(t.support)]))
-    return "\n".join(lines) + ("\n" if lines else "")
-

@@ -19,7 +19,7 @@ def dp_nearest(ts: TemplateSet, record) -> tuple[str, float]:
     over every template, ties to the smaller id compared as a string."""
     if not ts.templates:
         raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
-    score, template_id = min((weighted_score(t.tokens, record), t.template_id)
+    score, template_id = min((weighted_score(t.tokens, record.tokens), t.template_id)
                              for t in ts.templates)
     return template_id, score
 

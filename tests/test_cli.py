@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -427,6 +428,11 @@ class TestEval:
     ("train", {"mask_rules": 5}),
     ("train", {"format_template": 5}),
     ("eval", {"grid": []}),
+    ("train", {"parsers": []}),
+    ("train", {"parsers": 0}),
+    ("train", {"parsers": ""}),
+    ("train", {"parsers": False}),
+    ("train", {"parsers": None}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, command, override):
     log = tmp_path / "in.log"
@@ -470,8 +476,10 @@ def test_three_line_corpus_evaluates(tmp_path):
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,tset\n"),
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,test\n4,test\n"),
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n2,test\n3,test\n"),
+    ("1,normal\n2,normal\n3,Anomaly\n", "1,train\n2,train\n3,test\n"),
+    ("1,normal\n2,normal\n3,anomaly\n3,normal\n", "1,train\n2,train\n3,test\n"),
 ], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log",
-        "split-id-repeated"])
+        "split-id-repeated", "unknown-label", "label-id-repeated"])
 def test_bad_sidecar_is_data_error(tmp_path, labels, split):
     proc = _three_line_eval(tmp_path, labels, split)
     assert proc.returncode == 3, proc.stderr
@@ -516,3 +524,49 @@ def test_unusable_chain_path_is_data_error(tmp_path, where):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert not (tmp_path / "m.bundle").exists()
+
+
+def test_failed_bundle_write_leaves_no_temporary_file(tmp_path):
+    log = tmp_path / "in.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+    model = tmp_path / "m.b"
+    model.mkdir()  # the rename onto a directory fails
+    proc = _run_cli("train", "--config", str(_config(tmp_path)), "--input", str(log),
+                    "--model", str(model))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+CLI_FLAGS = {
+    "synth": {"--config", "--seed", "--out", "--profile", "--train", "--test",
+              "--anomalies"},
+    "train": {"--config", "--format", "--input", "--model"},
+    "detect": {"--config", "--out", "--input", "--model", "--epsilon"},
+    "eval": {"--config", "--seed", "--out", "--format", "--grid", "--profile"},
+    "verify-chain": {"--config", "--store"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_subcommand_has_only_the_flags_it_reads(command):
+    proc = _run_cli(command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout)) - {"--help"}
+    assert flags == CLI_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--format", "<X> <Content>"],
+    ["detect", "--seed", "1"],
+    ["verify-chain", "--out", "x"],
+    ["train", "--seed", "1"],
+    ["train", "--out", "m.bundle"],
+    ["synth", "--format", "X"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in proc.stderr

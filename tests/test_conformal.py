@@ -185,7 +185,7 @@ class TestPruningMatchesDP:
         model = _dp_model(templates)
         rec = make_record(1, tokens)
         expected = {t.template_id: pvalue(model, t.template_id,
-                                          weighted_score(t.tokens, rec))
+                                          weighted_score(t.tokens, rec.tokens))
                     for t in model.template_set.templates}
         assert pvalues_for(model, rec).pvalues == expected
 
@@ -353,5 +353,5 @@ class TestBundle:
         got = pvalues_for(model, rec).pvalues
         assert runs == []
         assert got == {t.template_id: pvalue(model, t.template_id,
-                                             weighted_score(t.tokens, rec))
+                                             weighted_score(t.tokens, rec.tokens))
                        for t in model.template_set.templates}

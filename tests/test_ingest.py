@@ -418,6 +418,15 @@ class _ShortWrites:
         self.fh.close()
 
 
+class _TornWrite(_ShortWrites):
+    """Takes ``limits`` as :class:`_ShortWrites` does, then raises ``OSError``."""
+
+    def write(self, data):
+        if not self.limits:
+            raise OSError(5, "Input/output error")
+        return super().write(data)
+
+
 def _pump(i):
     return LogRecord(i + 1, {"SysId": "S1"}, f"pump {i}", ("pump", str(i)))
 
@@ -467,3 +476,27 @@ class TestAppendFailures:
             path = path / "c.bin"
         with pytest.raises(AppendFailed):
             ChainStore(path)
+
+    @pytest.mark.parametrize("handle, limits", [(_TornWrite, [10]),
+                                                (_ShortWrites, [10, 0]),
+                                                (_TornWrite, [])],
+                             ids=["torn-then-error", "torn-then-stalled", "error"])
+    def test_no_append_after_a_failed_one(self, tmp_path, monkeypatch, handle, limits):
+        path = tmp_path / "c.bin"
+        with ChainStore(path) as store:
+            store.append(_pump(0))
+            good = path.read_bytes()
+            real = store._fh
+            monkeypatch.setattr(store, "_fh", handle(real, limits))
+            with pytest.raises(AppendFailed, match="entry 1: "):
+                store.append(_pump(1))
+            monkeypatch.setattr(store, "_fh", real)  # writes would succeed again
+            for i in (2, 3):
+                with pytest.raises(AppendFailed, match="entry 1 failed"):
+                    store.append(_pump(i))
+        torn = sum(limits)
+        assert path.read_bytes()[:len(good)] == good
+        assert path.stat().st_size == len(good) + torn
+        report = verify_chain(path)
+        assert (report.valid, report.first_bad_index, report.entries) == \
+            (not torn, 1 if torn else None, 1)

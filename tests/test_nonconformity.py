@@ -127,22 +127,23 @@ class TestNearest:
 
     def test_zero_distance_wins(self):
         ts = self._set({"T1": ("Send", "done"), "T2": ("other", "thing")})
-        assert nearest(ts, make_record(1, ["Send", "done"])) == ("T1", 0.0)
+        assert nearest(ts, make_record(1, ["Send", "done"]).tokens) == ("T1", 0.0)
 
     def test_hand_computed_scores(self):
         ts = self._set({"T1": ("Load", WILDCARD, "ok"), "T2": ("Send", "done")})
         record = make_record(1, ["Load", "x.ini", "ok"])
-        assert nearest(ts, record) == ("T1", 0.0)
+        assert nearest(ts, record.tokens) == ("T1", 0.0)
         # T2 needs three ops at record positions 1, 2 and 3 with center 2.5
         expected = sum(1.0 / (1.0 + math.exp(x - 2.5)) for x in (1, 2, 3))
-        assert weighted_score(("Send", "done"), record) == pytest.approx(expected, abs=1e-9)
+        assert weighted_score(("Send", "done"), record.tokens) == \
+            pytest.approx(expected, abs=1e-9)
 
     def test_tie_breaks_lexicographically(self):
         ts = self._set({"T2": ("a", "b"), "T10": ("a", "b")})
         # string order, not numeric order
-        assert nearest(ts, make_record(1, ["a", "b"])) == ("T10", 0.0)
+        assert nearest(ts, make_record(1, ["a", "b"]).tokens) == ("T10", 0.0)
 
     def test_empty_set_rejected(self):
         ts = TemplateSet(parser_name="drain", parser_params={})
         with pytest.raises(EmptyTemplateSet):
-            nearest(ts, make_record(1, ["a"]))
+            nearest(ts, make_record(1, ["a"]).tokens)

@@ -9,8 +9,7 @@ from logconformal.errors import EmptyCorpus, InvalidSpec, UnknownParser
 from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
                                   SpellParams, fit, match_record,
                                   params_from_dict)
-from logconformal.templates import (WILDCARD, EventTemplate, TemplateSet,
-                                    export_templates, list_templates)
+from logconformal.templates import WILDCARD, EventTemplate, TemplateSet, list_templates
 
 import perline_miners
 from conftest import make_record
@@ -242,17 +241,6 @@ class TestListAndExport:
         ts.templates.append(EventTemplate(template_id="T10", tokens=("x",)))
         ts.templates.append(EventTemplate(template_id="T2", tokens=("y",)))
         assert [t.template_id for t in list_templates(ts)] == ["T2", "T10"]
-
-    def test_export_import_round_trip(self):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        ts.templates.append(EventTemplate(template_id="T10", tokens=("Send", "done"),
-                                          support=2))
-        ts.templates.append(EventTemplate(template_id="T2",
-                                          tokens=("Load", WILDCARD, "ok"), support=7))
-        assert export_templates(ts) == ("drain\tT2\tLoad <*> ok\t7\n"
-                                        "drain\tT10\tSend done\t2\n")
-        empty = TemplateSet(parser_name="drain", parser_params={})
-        assert export_templates(empty) == ""
 
 
 PERLINE = {"drain": perline_miners.fit_drain, "spell": perline_miners.fit_spell,
