@@ -1,13 +1,33 @@
 """Log anomaly detection by combining heterogeneous template miners
-through conformal p-values over a weighted edit-distance score."""
+through conformal p-values over a weighted edit-distance score.
 
-from .conformal import CalibrationModel, PValueSet, calibrate, pvalue, pvalues_for
-from .detector import ANOMALY, NORMAL, DetectorConfig, Verdict, decide, detect_batch
-from .ingest import (ChainStore, HeaderSchema, LogRecord, compile_schema,
-                     preprocess, verify_chain)
-from .nonconformity import ScoreParams, edit_script, weighted_score
-from .parsers import (DrainParams, IPLoMParams, LogClusterParams, SpellParams,
-                      fit, match_record)
-from .templates import WILDCARD, EventTemplate, TemplateSet, list_templates
+The public names below resolve on first access, importing only the module
+that defines them, so ``python -m logconformal.cli`` loads no more than the
+subcommand runs.
+"""
 
+import importlib
+
+_EXPORTS = {name: module for module, names in (
+    ("conformal", "CalibrationModel PValueSet calibrate pvalue pvalues_for"),
+    ("detector", "ANOMALY NORMAL DetectorConfig Verdict decide detect_batch"),
+    ("ingest", "ChainStore HeaderSchema LogRecord compile_schema preprocess verify_chain"),
+    ("nonconformity", "ScoreParams edit_script weighted_score"),
+    ("parsers", "DrainParams IPLoMParams LogClusterParams SpellParams fit match_record"),
+    ("templates", "WILDCARD EventTemplate TemplateSet list_templates"),
+) for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

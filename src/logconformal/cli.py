@@ -12,10 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from . import conformal, detector, evalharness, parsers
 from .errors import (BundleError, EmptyCorpus, InvalidSpec, LogConformalError,
                      MalformedFormat, UnknownParser)
-from .ingest import ChainStore, compile_schema, read_log_file, verify_chain
+from .ingest import (PROFILE_FORMATS, ChainStore, compile_schema, read_log_file,
+                     verify_chain)
+
+# Each command imports the modules it runs, and calls them through their module
+# attributes, so that a process loads only what its subcommand needs.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,10 +67,10 @@ def _schema_from_config(cfg: dict, format_override: str | None):
     """The iiot profile's schema, unless ``--format`` or the config names
     a format template or mask rules; a part left unnamed then defaults to the
     profile's format template and to no mask rules."""
-    profile = evalharness.IIOT_PROFILE
+    default_fmt, default_rules = PROFILE_FORMATS["iiot"]
     custom = format_override or "format_template" in cfg
-    fmt = format_override or cfg.get("format_template", profile.format_template)
-    rules = cfg.get("mask_rules", [] if custom else profile.mask_rules)
+    fmt = format_override or cfg.get("format_template", default_fmt)
+    rules = cfg.get("mask_rules", [] if custom else default_rules)
     if not isinstance(fmt, str) or not isinstance(rules, (list, tuple)):
         raise _ConfigError("format_template must be a string and mask_rules a list")
     schema = compile_schema(fmt, rules)  # checks that each rule is a pair
@@ -75,6 +78,7 @@ def _schema_from_config(cfg: dict, format_override: str | None):
 
 
 def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
+    from . import parsers
     wanted = cfg.get("parsers", {})
     if not isinstance(wanted, dict):
         raise _ConfigError("parsers must be an object of name -> parameters")
@@ -103,6 +107,7 @@ def _epsilon(cfg: dict, args) -> float:
 
 
 def _grid(cfg: dict, args) -> tuple[float, ...]:
+    from . import evalharness
     if args.grid is not None:
         try:
             grid = [float(x) for x in args.grid.split(",")]
@@ -121,6 +126,7 @@ def _synth_corpus(cfg: dict, args):
     """Synthetic corpus from ``seed`` and ``synth.*`` in the config; a flag
     wins over its key. Commands without a size flag (``eval``) take the
     sizes from the config alone."""
+    from . import evalharness
     synth_cfg = _section(cfg, "synth")
     profile = args.profile or synth_cfg.get("profile", "iiot")
     if not isinstance(profile, str) or profile not in evalharness.PROFILES:
@@ -137,6 +143,7 @@ def _synth_corpus(cfg: dict, args):
 
 
 def _train_models(cfg: dict, records):
+    from . import conformal, parsers
     models = []
     for name, params in _parser_selection(cfg):
         ts = parsers.fit(name, params, records)
@@ -145,6 +152,7 @@ def _train_models(cfg: dict, records):
 
 
 def cmd_synth(args) -> int:
+    from . import evalharness
     corpus = _synth_corpus(_load_config(args.config), args)
     paths = evalharness.write_corpus(corpus, args.out)
     print(f"wrote {len(corpus.raw_lines)} lines "
@@ -154,6 +162,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import conformal
     cfg = _load_config(args.config)
     schema, fmt, rules = _schema_from_config(cfg, args.format)
     input_path = _path(cfg, "train", args.input)
@@ -190,6 +199,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import conformal, detector
     cfg = _load_config(args.config)
     eps = _epsilon(cfg, args)
     model_path = _path(cfg, "model", args.model)
@@ -216,6 +226,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evalharness
     cfg = _load_config(args.config)
     grid = _grid(cfg, args)
     keys = ("corpus", "labels", "split")
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("synth", cmd_synth, "generate a labeled corpus", "--seed", "--out")
-    p.add_argument("--profile", choices=sorted(evalharness.PROFILES))
+    p.add_argument("--profile", choices=sorted(PROFILE_FORMATS))
     p.add_argument("--train", type=int, help="training lines")
     p.add_argument("--test", type=int, help="test lines")
     p.add_argument("--anomalies", type=int, help="planted anomalies")
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", cmd_eval, "significance sweep on a labeled corpus",
                 "--seed", "--out", "--format")
     p.add_argument("--grid", help="comma-separated epsilon grid")
-    p.add_argument("--profile", choices=sorted(evalharness.PROFILES))
+    p.add_argument("--profile", choices=sorted(PROFILE_FORMATS))
 
     p = command("verify-chain", cmd_verify_chain, "check chain store integrity")
     p.add_argument("--store", help="chain store path")
@@ -302,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0), already printed
+        return exc.code
     if args.command == "synth" and not args.out:
         print("error: synth requires --out", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,8 +17,8 @@ from pathlib import Path
 from .conformal import CalibrationModel, pvalues_for
 from .detector import ANOMALY, NORMAL
 from .errors import InvalidSpec, LabelMismatch
-from .ingest import (HeaderSchema, LogRecord, compile_schema, open_log,
-                     read_records)
+from .ingest import (PROFILE_FORMATS, HeaderSchema, LogRecord, compile_schema,
+                     open_log, read_records)
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +45,8 @@ _NOTE_WORDS = tuple(a + b for a in ("ka", "ro", "mi", "ta", "zu", "ne", "lo",
                     for b in ("ra", "mo", "ki", "tu", "ze", "na", "li", "vo",
                               "su", "da", "po", "ge", "fa", "ni"))
 
-_MASK_NUM = (r"(?<![\w.])-?\d+(?![\w.])", "<*>")
-_MASK_HEX = (r"0x[0-9a-fA-F]+", "<*>")
-_MASK_IP = (r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}(:\d+)?", "<*>")
-_MASK_BLK = (r"(?<!\w)blk_-?\d+", "<*>")
-
 IIOT_PROFILE = CorpusProfile(
-    name="iiot",
-    format_template="<Date> <Time> <SysId> <Eth> <Content>",
-    mask_rules=(_MASK_IP, _MASK_HEX, _MASK_NUM),
+    "iiot", *PROFILE_FORMATS["iiot"],
     events=(
         EventSpec(8, "check data complete ok"),
         EventSpec(8, "Load {}.ini ok", (("pick", ("cfg", "sys", "net", "core", "link")),)),
@@ -80,9 +73,7 @@ IIOT_PROFILE = CorpusProfile(
 )
 
 HDFS_PROFILE = CorpusProfile(
-    name="hdfs",
-    format_template="<Date> <Time> <Pid> <Level> <Component>: <Content>",
-    mask_rules=(_MASK_BLK, _MASK_IP, _MASK_HEX, _MASK_NUM),
+    "hdfs", *PROFILE_FORMATS["hdfs"],
     events=(
         EventSpec(10, "Receiving block blk_{} src: /10.251.{}.{}:{} dest: /10.251.{}.{}:{}",
                   (("int", 10 ** 9, 9 * 10 ** 9), ("int", 0, 255), ("int", 0, 255),
@@ -272,15 +263,33 @@ def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
     return paths
 
 
+def _sidecar_rows(path):
+    """Yield (line id, value) for each row of a ``line_id,<value>`` sidecar.
+
+    Raises :class:`LabelMismatch` naming the file and the 1-based line of a
+    row that is not two comma-separated cells with an integer id.
+    """
+    rows = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, row in enumerate(rows[1:], 2):
+        try:
+            text_id, value = row.split(",")
+            line_id = int(text_id)
+        except ValueError:
+            raise LabelMismatch(f"{path}, line {number}: {row!r} is not "
+                                f"'<line id>,<value>' with an integer id") from None
+        yield line_id, value
+
+
 def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> LabeledCorpus:
     """Rehydrate a corpus written by :func:`write_corpus`.
 
     The log is read as ``train`` and ``detect`` read theirs (see
     :func:`~logconformal.ingest.open_log`), so line ids agree with theirs.
-    Raises :class:`LabelMismatch` when a label is neither ``normal`` nor
-    ``anomaly``, a label id appears twice, a split part is neither ``train``
-    nor ``test``, a split id names no line or appears twice, a test line has
-    no label, or a training line is not labeled normal.
+    Raises :class:`LabelMismatch` when a sidecar row is malformed, a label is
+    neither ``normal`` nor ``anomaly``, a label id appears twice, a split
+    part is neither ``train`` nor ``test``, a split id names no line or
+    appears twice, the split leaves a line out or lists no test line, a test
+    line has no label, or a training line is not labeled normal.
     """
     with open_log(log_path) as fh:
         raw_lines = fh.read().split("\n")
@@ -288,9 +297,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
         raw_lines.pop()
     records, _ = read_records(raw_lines, schema, on_error="raise")
     labels: dict[int, str] = {}
-    for row in Path(labels_path).read_text(encoding="utf-8").splitlines()[1:]:
-        text_id, label = row.split(",")
-        line_id = int(text_id)
+    for line_id, label in _sidecar_rows(labels_path):
         if label not in (NORMAL, ANOMALY):
             raise LabelMismatch(f"label {label!r} of line {line_id} is neither "
                                 f"'normal' nor 'anomaly'")
@@ -299,9 +306,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
         labels[line_id] = label
     parts: dict[str, list[int]] = {"train": [], "test": []}
     seen: set[int] = set()
-    for row in Path(split_path).read_text(encoding="utf-8").splitlines()[1:]:
-        text_id, part = row.split(",")
-        line_id = int(text_id)
+    for line_id, part in _sidecar_rows(split_path):
         if part not in parts:
             raise LabelMismatch(f"split part {part!r} of line {line_id} "
                                 f"is neither 'train' nor 'test'")
@@ -311,7 +316,12 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
             raise LabelMismatch(f"split line {line_id} appears more than once")
         seen.add(line_id)
         parts[part].append(line_id)
+    if len(seen) < len(records):
+        unlisted = next(i for i in range(1, len(records) + 1) if i not in seen)
+        raise LabelMismatch(f"line {unlisted} of {log_path} is in no part of {split_path}")
     train_ids, test_ids = parts["train"], parts["test"]
+    if not test_ids:
+        raise LabelMismatch(f"{split_path} lists no test line")
     for line_id in train_ids:
         if labels.get(line_id) != NORMAL:
             raise LabelMismatch(f"training line {line_id} is not normal")

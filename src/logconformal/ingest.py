@@ -21,7 +21,6 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,14 +30,27 @@ _FIELD = re.compile(r"<([^<>]+)>")
 
 GENESIS_DIGEST = b"\x00" * 32
 
-@dataclass
-class HeaderSchema:
+_MASK_NUM = (r"(?<![\w.])-?\d+(?![\w.])", "<*>")
+_MASK_HEX = (r"0x[0-9a-fA-F]+", "<*>")
+_MASK_IP = (r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}(:\d+)?", "<*>")
+_MASK_BLK = (r"(?<!\w)blk_-?\d+", "<*>")
+
+# The format template and mask rules of each synthetic corpus profile (see
+# ``evalharness.PROFILES``); the iiot pair is also the CLI's default schema.
+PROFILE_FORMATS = {
+    "iiot": ("<Date> <Time> <SysId> <Eth> <Content>", (_MASK_IP, _MASK_HEX, _MASK_NUM)),
+    "hdfs": ("<Date> <Time> <Pid> <Level> <Component>: <Content>",
+             (_MASK_BLK, _MASK_IP, _MASK_HEX, _MASK_NUM)),
+}
+
+
+class HeaderSchema(NamedTuple):
     """Compiled header layout: field names, line pattern, masking rules."""
 
     format_template: str
     fields: list[str]
     pattern: re.Pattern
-    mask_rules: list[tuple[re.Pattern, str]] = field(default_factory=list)
+    mask_rules: tuple[tuple[re.Pattern, str], ...] = ()
 
 
 class LogRecord(NamedTuple):
@@ -109,7 +121,7 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
             raise MalformedFormat(f"bad mask rule {rule!r}: {exc}") from exc
         compiled_masks.append((pat, repl))
     return HeaderSchema(format_template=format_template, fields=names,
-                        pattern=pattern, mask_rules=compiled_masks)
+                        pattern=pattern, mask_rules=tuple(compiled_masks))
 
 
 def _split(line: str, schema: HeaderSchema) -> tuple[dict[str, str], str]:
@@ -191,8 +203,7 @@ class ChainedEntry(NamedTuple):
     entry_digest: bytes
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     first_bad_index: int | None
     entries: int

@@ -12,15 +12,12 @@ serves them all.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import asdict, dataclass, fields
 
 from ..errors import EmptyCorpus, InvalidSpec, UnknownParser
 from ..nonconformity import nearest
 from ..templates import EventTemplate, TemplateSet
-from .drain import fit_drain
-from .iplom import fit_iplom
-from .logcluster import fit_logcluster
-from .spell import fit_spell
 
 PARSER_NAMES = ("drain", "spell", "iplom", "logcluster")
 
@@ -76,11 +73,20 @@ class LogClusterParams:
 ParserParams = DrainParams | SpellParams | IPLoMParams | LogClusterParams
 
 
+def _miner(name: str):
+    """``fit_<name>`` of the module ``<name>``, imported on the first call,
+    so that loading a bundle needs only the params classes."""
+    def mine(records, **params):
+        module = importlib.import_module(f"{__name__}.{name}")
+        return getattr(module, f"fit_{name}")(records, **params)
+    return mine
+
+
 _REGISTRY: dict[str, tuple[type, object]] = {
-    "drain": (DrainParams, fit_drain),
-    "spell": (SpellParams, fit_spell),
-    "iplom": (IPLoMParams, fit_iplom),
-    "logcluster": (LogClusterParams, fit_logcluster),
+    "drain": (DrainParams, _miner("drain")),
+    "spell": (SpellParams, _miner("spell")),
+    "iplom": (IPLoMParams, _miner("iplom")),
+    "logcluster": (LogClusterParams, _miner("logcluster")),
 }
 
 

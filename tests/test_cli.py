@@ -478,8 +478,14 @@ def test_three_line_corpus_evaluates(tmp_path):
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n2,test\n3,test\n"),
     ("1,normal\n2,normal\n3,Anomaly\n", "1,train\n2,train\n3,test\n"),
     ("1,normal\n2,normal\n3,anomaly\n3,normal\n", "1,train\n2,train\n3,test\n"),
+    ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n"),
+    ("1,normal\n2,normal\n3,normal\n", "1,train\n2,train\n3,train\n"),
+    ("1,normal\n2,normal\n3,anomaly,x\n", "1,train\n2,train\n3,test\n"),
+    ("1,normal\n2,normal\n3,anomaly\n", "1,train\ntwo,train\n3,test\n"),
 ], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log",
-        "split-id-repeated", "unknown-label", "label-id-repeated"])
+        "split-id-repeated", "unknown-label", "label-id-repeated",
+        "split-leaves-line-out", "split-without-test-line", "row-with-three-fields",
+        "non-integer-id"])
 def test_bad_sidecar_is_data_error(tmp_path, labels, split):
     proc = _three_line_eval(tmp_path, labels, split)
     assert proc.returncode == 3, proc.stderr
@@ -570,3 +576,17 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["detect", "--seed", "1"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["verify-chain", "--help"], 0),
+], ids=["unknown-flag", "no-command", "help", "command-help"])
+def test_main_returns_usage_codes(argv, code, capsys):
+    """``main`` returns argparse's exit code instead of raising SystemExit,
+    after argparse has printed its usage or help text."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (err if code else out).startswith("usage: logconformal")

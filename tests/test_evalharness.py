@@ -121,6 +121,26 @@ class TestSynthCorpus:
         assert corpus.raw_lines[0] == "S1 a one"
         assert [r.line_id for r in corpus.test_records] == [3]
 
+    @pytest.mark.parametrize("labels, split, message", [
+        ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n",
+         "line 3 of .*corpus.log is in no part of .*split.csv"),
+        ("1,normal\n2,normal\n3,normal\n", "1,train\n2,train\n3,train\n",
+         "split.csv lists no test line"),
+        ("1,normal\n2,normal\n3,anomaly,x\n", "1,train\n2,train\n3,test\n",
+         "labels.csv, line 4: '3,anomaly,x' is not"),
+        ("1,normal\n2,normal\n3,anomaly\n", "1,train\ntwo,train\n3,test\n",
+         "split.csv, line 3: 'two,train' is not"),
+    ], ids=["split-leaves-line-out", "split-without-test-line",
+            "row-with-three-fields", "non-integer-id"])
+    def test_bad_sidecar_names_the_cause(self, tmp_path, labels, split, message):
+        log = tmp_path / "corpus.log"
+        log.write_text("S1 a\nS1 a\nS1 b\n", encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("line_id,label\n" + labels, encoding="utf-8")
+        (tmp_path / "split.csv").write_text("line_id,part\n" + split, encoding="utf-8")
+        with pytest.raises(LabelMismatch, match=message):
+            load_corpus(log, tmp_path / "labels.csv", tmp_path / "split.csv",
+                        compile_schema("<SysId> <Content>"))
+
 
 class TestScoreMetrics:
     def test_all_correct(self):
