@@ -14,7 +14,7 @@ _EXPORTS = {name: module for module, names in (
     ("ingest", "ChainStore HeaderSchema LogRecord compile_schema preprocess verify_chain"),
     ("nonconformity", "ScoreParams edit_script weighted_score"),
     ("parsers", "DrainParams IPLoMParams LogClusterParams SpellParams fit match_record"),
-    ("templates", "WILDCARD EventTemplate TemplateSet list_templates"),
+    ("templates", "WILDCARD EventTemplate TemplateSet"),
 ) for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

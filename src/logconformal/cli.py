@@ -142,6 +142,16 @@ def _synth_corpus(cfg: dict, args):
                                     **sizes)
 
 
+def _trainable(records, skipped: int) -> list:
+    """The records a parser can train on, those with tokens; warns how many
+    lines were dropped, the ``skipped`` unparsable ones included."""
+    kept = [r for r in records if r.tokens]
+    dropped = skipped + len(records) - len(kept)
+    if dropped:
+        print(f"warning: skipped {dropped} unparsable or empty lines", file=sys.stderr)
+    return kept
+
+
 def _train_models(cfg: dict, records):
     from . import conformal, parsers
     models = []
@@ -170,14 +180,7 @@ def cmd_train(args) -> int:
         raise _ConfigError("no training input (use --input or paths.train)")
     if not Path(input_path).exists():
         raise _ConfigError(f"training input {input_path} does not exist")
-    records, skipped = read_log_file(input_path, schema)
-    tokenless = sum(1 for r in records if not r.tokens)
-    if tokenless:
-        records = [r for r in records if r.tokens]
-        skipped += tokenless
-    if skipped:
-        print(f"warning: skipped {skipped} unparsable or empty lines",
-              file=sys.stderr)
+    records = _trainable(*read_log_file(input_path, schema))
     if not records:
         raise EmptyCorpus(f"no parsable records in {input_path}")
 
@@ -241,7 +244,7 @@ def cmd_eval(args) -> int:
     else:
         corpus = _synth_corpus(cfg, args)
 
-    models = _train_models(cfg, corpus.train_records)
+    models = _train_models(cfg, _trainable(corpus.train_records, 0))
     rows = evalharness.significance_sweep(models, corpus, grid)
     report = evalharness.render_sweep_csv(rows)
     out_path = _path(cfg, "report", args.out, default="sweep.csv")

@@ -21,7 +21,7 @@ from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, InvalidSpec,
 from .ingest import compile_schema
 from .nonconformity import MAX_EXACT_GAP, nearest, weighted_score
 from .parsers import params_from_dict
-from .templates import EventTemplate, TemplateSet, list_templates
+from .templates import EventTemplate, TemplateSet
 
 BUNDLE_VERSION = 1
 
@@ -120,8 +120,8 @@ def _model_to_doc(model: CalibrationModel) -> dict:
         "parser_name": model.parser_name,
         "parser_params": ts.parser_params,
         "templates": [[t.template_id, list(t.tokens), t.support]
-                      for t in list_templates(ts)],
-        "calibration": {tid: scores for tid, scores in model.calib.items()},
+                      for t in ts.templates],
+        "calibration": model.calib,
         "total_count": model.total_count,
     }
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .conformal import CalibrationModel, PValueSet, pvalues_for
 from .errors import NoParsers
-from .templates import natural_key
 
 NORMAL = "normal"
 ANOMALY = "anomaly"
@@ -45,13 +44,10 @@ def decide(psets: list[PValueSet], cfg: DetectorConfig, line_id: int = 0) -> Ver
     if not psets:
         raise NoParsers("need p-value sets from at least one parser")
     prediction: dict[str, list[tuple[str, float]]] = {}
-    max_p = 0.0
     for pset in psets:
-        surviving = [(tid, p) for tid, p in pset.pvalues.items() if p >= cfg.epsilon]
-        surviving.sort(key=lambda item: natural_key(item[0]))
-        prediction[pset.parser_name] = surviving
-        if pset.pvalues:
-            max_p = max(max_p, max(pset.pvalues.values()))
+        prediction[pset.parser_name] = [(tid, p) for tid, p in pset.pvalues.items()
+                                        if p >= cfg.epsilon]
+    max_p = max(pset.max_p() for pset in psets)
     label = ANOMALY if all(not s for s in prediction.values()) else NORMAL
     return Verdict(line_id=line_id, label=label, prediction_set=prediction,
                    max_p=max_p)
@@ -102,7 +98,7 @@ def render_alarm_line(verdict: Verdict) -> str:
         "label": verdict.label,
         "max_p": verdict.max_p,
         "prediction_set": {parser: [[tid, p] for tid, p in pairs]
-                           for parser, pairs in sorted(verdict.prediction_set.items())},
+                           for parser, pairs in verdict.prediction_set.items()},
     }
     if verdict.error is not None:
         doc["error"] = verdict.error

@@ -186,10 +186,11 @@ def open_log(path):
     return open(path, "r", encoding="utf-8", errors="replace")
 
 
-def read_log_file(path, schema: HeaderSchema, on_error: str = "skip"):
-    """Read a UTF-8 log file (invalid bytes replaced), one record per line."""
+def read_log_file(path, schema: HeaderSchema):
+    """Read a UTF-8 log file (invalid bytes replaced), one record per line,
+    skipping and counting unparsable lines."""
     with open_log(path) as fh:
-        return read_records(fh, schema, on_error=on_error)
+        return read_records(fh, schema)
 
 
 # ---------------------------------------------------------------------------

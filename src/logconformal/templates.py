@@ -7,18 +7,9 @@ where each token is either a literal word or the single-token wildcard
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 WILDCARD = "<*>"
-
-_ID_CHUNKS = re.compile(r"(\d+)")
-
-
-def natural_key(template_id: str) -> tuple:
-    """Sort key that orders T2 before T10."""
-    return tuple(int(part) if part.isdigit() else part
-                 for part in _ID_CHUNKS.split(template_id))
 
 
 @dataclass(frozen=True)
@@ -38,14 +29,10 @@ class EventTemplate:
 
 @dataclass
 class TemplateSet:
-    """The templates one parser learned from a training corpus."""
+    """The templates one parser learned from a training corpus, in the order
+    ``fit`` made them; every listing of them keeps this order."""
 
     parser_name: str
     parser_params: dict
     templates: list[EventTemplate] = field(default_factory=list)
-
-
-def list_templates(ts: TemplateSet) -> list[EventTemplate]:
-    """Templates in natural id order (T2 before T10)."""
-    return sorted(ts.templates, key=lambda t: natural_key(t.template_id))
 

@@ -590,3 +590,34 @@ def test_main_returns_usage_codes(argv, code, capsys):
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert (err if code else out).startswith("usage: logconformal")
+
+
+def test_eval_trains_on_the_lines_train_trains_on(tmp_path, monkeypatch, capsys):
+    """A training line with no content is dropped, with the same warning, by
+    ``train`` and by ``eval`` reading the same corpus from files."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--seed", "1", "--train", "50", "--test", "10",
+                 "--anomalies", "2", "--out", str(out)]) == 0
+    for name in ("corpus.log", "train.log"):
+        lines = (out / name).read_text(encoding="utf-8").split("\n")
+        lines[2] = " ".join(lines[2].split(" ")[:4]) + " "  # header, no content
+        (out / name).write_text("\n".join(lines), encoding="utf-8")
+    trained_on = []
+    train_models = cli._train_models
+
+    def recording(cfg, records):
+        trained_on.append(records)
+        return train_models(cfg, records)
+    monkeypatch.setattr(cli, "_train_models", recording)
+    cfg = _config(tmp_path, paths={"corpus": str(out / "corpus.log"),
+                                   "labels": str(out / "labels.csv"),
+                                   "split": str(out / "split.csv")})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--input", str(out / "train.log"),
+                 "--model", str(tmp_path / "m.bundle")]) == 0
+    train_err = capsys.readouterr().err
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert capsys.readouterr().err == train_err == \
+        "warning: skipped 1 unparsable or empty lines\n"
+    assert trained_on[0] == trained_on[1]
+    assert [r.line_id for r in trained_on[0]] == [1, 2, *range(4, 51)]

@@ -288,6 +288,22 @@ class TestBundle:
         assert bundle_to_bytes(loaded, loaded_schema) == path.read_bytes()
         assert [m.calib for m in loaded] == [m.calib for m in models]
 
+    def test_templates_keep_their_order(self, tmp_path):
+        ts = TemplateSet(parser_name="drain", parser_params={})
+        for tid in ("T10", "T2"):
+            ts.templates.append(EventTemplate(template_id=tid, tokens=(tid,)))
+        model = CalibrationModel(parser_name="drain", template_set=ts,
+                                 calib={"T10": [0.0], "T2": [0.0, 1.0]}, total_count=3)
+        data = bundle_to_bytes([model], {"format_template": "<Content>",
+                                         "mask_rules": []})
+        stored = json.loads(data)["models"][0]["templates"]
+        assert [tid for tid, _, _ in stored] == ["T10", "T2"]
+        path = tmp_path / "m.bundle"
+        path.write_bytes(data)
+        loaded, loaded_schema = load_bundle(path)
+        assert [t.template_id for t in loaded[0].template_set.templates] == ["T10", "T2"]
+        assert bundle_to_bytes(loaded, loaded_schema) == data
+
     def test_save_is_deterministic(self, tmp_path):
         models = self._models()
         doc = {"format_template": "<Content>", "mask_rules": []}

@@ -55,6 +55,12 @@ class TestDecide:
         v = decide(psets, DetectorConfig(epsilon=0.3))
         assert v.prediction_set["drain"] == [("T1", 0.5), ("T2", 0.3)]
 
+    def test_pairs_follow_template_order(self):
+        # pvalues_for fills each set in the model's template order, T10 first here
+        psets = [_pset("drain", {"T10": 0.5, "T2": 0.9, "T1": 0.1, "T3": 0.3})]
+        v = decide(psets, DetectorConfig(epsilon=0.3))
+        assert v.prediction_set["drain"] == [("T10", 0.5), ("T2", 0.9), ("T3", 0.3)]
+
     def test_no_parsers_rejected(self):
         with pytest.raises(NoParsers):
             decide([], DetectorConfig(epsilon=0.5))

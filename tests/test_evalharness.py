@@ -114,7 +114,7 @@ class TestSynthCorpus:
         schema = compile_schema("<SysId> <Content>")
         corpus = load_corpus(log, tmp_path / "labels.csv", tmp_path / "split.csv",
                              schema)
-        assert corpus.records == read_log_file(log, schema, on_error="raise")[0]
+        assert corpus.records == read_log_file(log, schema)[0]
         assert [r.line_id for r in corpus.records] == [1, 2, 3]
         assert corpus.records[1].content == "b two\x0cthree\x1c \x85 \u2028 x"
         assert corpus.records[2].content == "c \ufffd four"

@@ -26,7 +26,7 @@ ROOT_EXPORTS = {
     "ingest": "ChainStore HeaderSchema LogRecord compile_schema preprocess verify_chain",
     "nonconformity": "ScoreParams edit_script weighted_score",
     "parsers": "DrainParams IPLoMParams LogClusterParams SpellParams fit match_record",
-    "templates": "WILDCARD EventTemplate TemplateSet list_templates",
+    "templates": "WILDCARD EventTemplate TemplateSet",
 }
 MINERS = {f"logconformal.parsers.{name}" for name in ("drain", "spell", "iplom",
                                                       "logcluster")}

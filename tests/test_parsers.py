@@ -9,7 +9,7 @@ from logconformal.errors import EmptyCorpus, InvalidSpec, UnknownParser
 from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
                                   SpellParams, fit, match_record,
                                   params_from_dict)
-from logconformal.templates import WILDCARD, EventTemplate, TemplateSet, list_templates
+from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
 import perline_miners
 from conftest import make_record
@@ -229,18 +229,6 @@ class TestMatchRecord:
     def test_empty_set_returns_none(self):
         ts = TemplateSet(parser_name="drain", parser_params={})
         assert match_record(ts, make_record(1, ["a"])) is None
-
-
-class TestListAndExport:
-    def test_list_empty(self):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        assert list_templates(ts) == []
-
-    def test_natural_order(self):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        ts.templates.append(EventTemplate(template_id="T10", tokens=("x",)))
-        ts.templates.append(EventTemplate(template_id="T2", tokens=("y",)))
-        assert [t.template_id for t in list_templates(ts)] == ["T2", "T10"]
 
 
 PERLINE = {"drain": perline_miners.fit_drain, "spell": perline_miners.fit_spell,
