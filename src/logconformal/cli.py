@@ -44,47 +44,19 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _section(cfg: dict, name: str) -> dict:
-    value = cfg.get(name, {})
-    if not isinstance(value, dict):
-        raise _ConfigError(f"{name} must be an object, got {value!r}")
-    return value
-
-
-def _path(cfg: dict, key: str, flag=None, default=None):
-    """The flag if given, else ``paths.<key>`` of the config, else ``default``."""
-    if flag:
-        return flag
-    paths = _section(cfg, "paths")
-    if key not in paths:
-        return default
-    if not isinstance(paths[key], str):
-        raise _ConfigError(f"paths.{key} must be a string, got {paths[key]!r}")
-    return paths[key]
-
-
-def _schema_from_config(cfg: dict, format_override: str | None):
-    """The iiot profile's schema, unless ``--format`` or the config names
-    a format template or mask rules; a part left unnamed then defaults to the
-    profile's format template and to no mask rules."""
-    default_fmt, default_rules = PROFILE_FORMATS["iiot"]
-    custom = format_override or "format_template" in cfg
-    fmt = format_override or cfg.get("format_template", default_fmt)
-    rules = cfg.get("mask_rules", [] if custom else default_rules)
-    if not isinstance(fmt, str) or not isinstance(rules, (list, tuple)):
-        raise _ConfigError("format_template must be a string and mask_rules a list")
-    schema = compile_schema(fmt, rules)  # checks that each rule is a pair
-    return schema, fmt, [tuple(rule) for rule in rules]
-
-
-def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
-    from . import parsers
-    wanted = cfg.get("parsers", {})
-    if not isinstance(wanted, dict):
-        raise _ConfigError("parsers must be an object of name -> parameters")
-    wanted = wanted or dict.fromkeys(parsers.PARSER_NAMES)  # absent or {}: all at defaults
-    return [(name, parsers.params_from_dict(name, overrides))
-            for name, overrides in wanted.items()]
+def _setting(cfg: dict, key: str, given=None, default=None, check=None):
+    """The flag's value if it was given, else the config's value at ``key``
+    (``"paths.model"`` names ``model`` in section ``paths``), else ``default``.
+    ``check(value, key)`` vets a value that came from a flag or the config."""
+    section, _, name = key.rpartition(".")
+    doc = cfg.get(section, {}) if section else cfg
+    if not isinstance(doc, dict):
+        raise _ConfigError(f"{section} must be an object, got {doc!r}")
+    if given is None:
+        if name not in doc:
+            return default
+        given = doc[name]
+    return given if check is None else check(given, key)
 
 
 def _level(value, what: str):
@@ -101,25 +73,57 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _epsilon(cfg: dict, args) -> float:
-    eps = args.epsilon if args.epsilon is not None else cfg.get("epsilon", 0.27)
-    return float(_level(eps, "epsilon"))
+def _path(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise _ConfigError(f"{what} must be a non-empty string, got {value!r}")
+    return value
 
 
-def _grid(cfg: dict, args) -> tuple[float, ...]:
-    from . import evalharness
-    if args.grid is not None:
-        try:
-            grid = [float(x) for x in args.grid.split(",")]
-        except ValueError as exc:
-            raise _ConfigError(f"bad grid {args.grid!r}") from exc
-    else:
-        grid = cfg.get("grid", evalharness.DEFAULT_GRID)
-        if not isinstance(grid, (list, tuple)):
-            raise _ConfigError(f"grid must be a list of numbers, got {grid!r}")
-    if not grid:
-        raise _ConfigError("grid must hold at least one epsilon")
-    return tuple(_level(eps, "grid value") for eps in grid)
+def _grid(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise _ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    if not value:
+        raise _ConfigError(f"{what} must hold at least one epsilon")
+    return tuple(_level(eps, "grid value") for eps in value)
+
+
+def _schema_part(value, what: str):
+    if not isinstance(value, str if what == "format_template" else list):
+        raise _ConfigError("format_template must be a string and mask_rules a list")
+    return value
+
+
+def _required(cfg: dict, key: str, given, what: str, flag: str, exists=True) -> str:
+    """A needed path: ``--<flag>``, else ``paths.<key>``; on disk if ``exists``."""
+    path = _setting(cfg, f"paths.{key}", given, check=_path)
+    if path is None:
+        raise _ConfigError(f"no {what} (use --{flag} or paths.{key})")
+    if exists and not Path(path).exists():
+        raise _ConfigError(f"{what} {path} does not exist")
+    return path
+
+
+def _schema_from_config(cfg: dict, format_flag: str | None):
+    """The header schema and its bundle document: the iiot profile's, unless
+    ``--format`` or the config names a format template or mask rules; a part
+    left unnamed then defaults to the profile's template and to no mask rules."""
+    default_fmt, default_rules = PROFILE_FORMATS["iiot"]
+    fmt = _setting(cfg, "format_template", format_flag, check=_schema_part)
+    rules = _setting(cfg, "mask_rules", default=default_rules if fmt is None else [],
+                     check=_schema_part)
+    fmt = default_fmt if fmt is None else fmt
+    schema = compile_schema(fmt, rules)  # checks that each rule is a pair
+    return schema, {"format_template": fmt, "mask_rules": [list(r) for r in rules]}
+
+
+def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
+    from . import parsers
+    wanted = _setting(cfg, "parsers", default={})
+    if not isinstance(wanted, dict):
+        raise _ConfigError("parsers must be an object of name -> parameters")
+    wanted = wanted or dict.fromkeys(parsers.PARSER_NAMES)  # absent or {}: all at defaults
+    return [(name, parsers.params_from_dict(name, overrides))
+            for name, overrides in wanted.items()]
 
 
 def _synth_corpus(cfg: dict, args):
@@ -127,17 +131,14 @@ def _synth_corpus(cfg: dict, args):
     wins over its key. Commands without a size flag (``eval``) take the
     sizes from the config alone."""
     from . import evalharness
-    synth_cfg = _section(cfg, "synth")
-    profile = args.profile or synth_cfg.get("profile", "iiot")
+    profile = _setting(cfg, "synth.profile", args.profile, "iiot")
     if not isinstance(profile, str) or profile not in evalharness.PROFILES:
         raise _ConfigError(f"unknown profile {profile!r}")
-    sizes = {}
-    for key, flag, default in (("n_train", "train", 10000), ("n_test", "test", 1000),
-                               ("n_anomalies", "anomalies", 788)):
-        value = getattr(args, flag, None)
-        sizes[key] = _count(synth_cfg.get(key, default) if value is None else value,
-                            f"synth.{key}")
-    seed = _count(cfg.get("seed", 1) if args.seed is None else args.seed, "seed")
+    sizes = {key: _setting(cfg, f"synth.{key}", getattr(args, flag, None), default, _count)
+             for key, flag, default in (("n_train", "train", 10000),
+                                        ("n_test", "test", 1000),
+                                        ("n_anomalies", "anomalies", 788))}
+    seed = _setting(cfg, "seed", args.seed, 1, _count)
     return evalharness.synth_corpus(seed=seed, profile=evalharness.PROFILES[profile],
                                     **sizes)
 
@@ -152,10 +153,10 @@ def _trainable(records, skipped: int) -> list:
     return kept
 
 
-def _train_models(cfg: dict, records):
+def _train_models(selection, records):
     from . import conformal, parsers
     models = []
-    for name, params in _parser_selection(cfg):
+    for name, params in selection:
         ts = parsers.fit(name, params, records)
         models.append(conformal.calibrate(ts, records))
     return models
@@ -163,6 +164,8 @@ def _train_models(cfg: dict, records):
 
 def cmd_synth(args) -> int:
     from . import evalharness
+    if not args.out:
+        raise _ConfigError("synth requires --out")
     corpus = _synth_corpus(_load_config(args.config), args)
     paths = evalharness.write_corpus(corpus, args.out)
     print(f"wrote {len(corpus.raw_lines)} lines "
@@ -174,25 +177,21 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     from . import conformal
     cfg = _load_config(args.config)
-    schema, fmt, rules = _schema_from_config(cfg, args.format)
-    input_path = _path(cfg, "train", args.input)
-    if not input_path:
-        raise _ConfigError("no training input (use --input or paths.train)")
-    if not Path(input_path).exists():
-        raise _ConfigError(f"training input {input_path} does not exist")
+    schema, schema_doc = _schema_from_config(cfg, args.format)
+    input_path = _required(cfg, "train", args.input, "training input", "input")
+    chain_path = _setting(cfg, "paths.chain", check=_path)
+    model_path = _setting(cfg, "paths.model", args.model, "model.bundle", _path)
+    selection = _parser_selection(cfg)
+
     records = _trainable(*read_log_file(input_path, schema))
     if not records:
         raise EmptyCorpus(f"no parsable records in {input_path}")
-
-    chain_path = _path(cfg, "chain")
-    if chain_path:
+    if chain_path is not None:
         with ChainStore(chain_path) as store:
             for rec in records:
                 store.append(rec)
 
-    models = _train_models(cfg, records)
-    model_path = _path(cfg, "model", args.model, default="model.bundle")
-    schema_doc = {"format_template": fmt, "mask_rules": [list(r) for r in rules]}
+    models = _train_models(selection, records)
     conformal.save_bundle(models, schema_doc, model_path)
     counts = ", ".join(f"{m.parser_name}={len(m.template_set.templates)}"
                        for m in models)
@@ -204,24 +203,19 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     from . import conformal, detector
     cfg = _load_config(args.config)
-    eps = _epsilon(cfg, args)
-    model_path = _path(cfg, "model", args.model)
-    if not model_path:
-        raise _ConfigError("no model bundle (use --model or paths.model)")
+    eps = float(_setting(cfg, "epsilon", args.epsilon, 0.27, _level))
+    model_path = _required(cfg, "model", args.model, "model bundle", "model", exists=False)
+    input_path = _required(cfg, "test", args.input, "detection input", "input")
+    out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _path)
+
     models, schema_doc = conformal.load_bundle(model_path)
     schema = compile_schema(schema_doc["format_template"],
                             [tuple(r) for r in schema_doc.get("mask_rules", [])])
-    input_path = _path(cfg, "test", args.input)
-    if not input_path:
-        raise _ConfigError("no detection input (use --input or paths.test)")
-    if not Path(input_path).exists():
-        raise _ConfigError(f"detection input {input_path} does not exist")
     records, skipped = read_log_file(input_path, schema)
     if skipped:
         print(f"warning: skipped {skipped} unparsable lines", file=sys.stderr)
 
     verdicts = detector.detect_batch(models, records, detector.DetectorConfig(epsilon=eps))
-    out_path = _path(cfg, "alarms", args.out, default="alarms.jsonl")
     with open(out_path, "w", encoding="utf-8") as fh:
         alarms = detector.write_alarms(fh, records, verdicts)
     print(f"processed={len(records)} alarms={alarms} epsilon={eps} out={out_path}")
@@ -231,24 +225,30 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     from . import evalharness
     cfg = _load_config(args.config)
-    grid = _grid(cfg, args)
+    grid = args.grid
+    if grid is not None:  # a comma list on the command line, a JSON list in the config
+        try:
+            grid = [float(x) for x in grid.split(",")]
+        except ValueError as exc:
+            raise _ConfigError(f"bad grid {args.grid!r}") from exc
+    grid = _setting(cfg, "grid", grid, evalharness.DEFAULT_GRID, _grid)
+    out_path = _setting(cfg, "paths.report", args.out, "sweep.csv", _path)
+    selection = _parser_selection(cfg)
     keys = ("corpus", "labels", "split")
-    sources = [_path(cfg, key) for key in keys]
+    sources = [_setting(cfg, f"paths.{key}", check=_path) for key in keys]
     if any(sources) and not all(sources):
         missing = ", ".join(f"paths.{k}" for k, src in zip(keys, sources) if not src)
         raise _ConfigError(f"eval reads a corpus from files only when paths.corpus, "
                            f"paths.labels and paths.split are all set; missing {missing}")
     if all(sources):
-        schema, _, _ = _schema_from_config(cfg, args.format)
+        schema, _ = _schema_from_config(cfg, args.format)
         corpus = evalharness.load_corpus(*sources, schema)
     else:
         corpus = _synth_corpus(cfg, args)
 
-    models = _train_models(cfg, _trainable(corpus.train_records, 0))
+    models = _train_models(selection, _trainable(corpus.train_records, 0))
     rows = evalharness.significance_sweep(models, corpus, grid)
-    report = evalharness.render_sweep_csv(rows)
-    out_path = _path(cfg, "report", args.out, default="sweep.csv")
-    Path(out_path).write_text(report, encoding="utf-8")
+    Path(out_path).write_text(evalharness.render_sweep_csv(rows), encoding="utf-8")
     print(evalharness.render_sweep_table(rows), end="")
     print(f"report: {out_path}")
     return EXIT_OK
@@ -256,11 +256,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify_chain(args) -> int:
     cfg = _load_config(args.config)
-    store_path = _path(cfg, "chain", args.store)
-    if not store_path:
-        raise _ConfigError("no chain store (use --store or paths.chain)")
-    if not Path(store_path).exists():
-        raise _ConfigError(f"chain store {store_path} does not exist")
+    store_path = _required(cfg, "chain", args.store, "chain store", "store")
     report = verify_chain(store_path)
     if report.valid:
         print(f"chain valid: {report.entries} entries")
@@ -320,9 +316,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # a usage error (2) or --help (0), already printed
         return exc.code
-    if args.command == "synth" and not args.out:
-        print("error: synth requires --out", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except (_ConfigError, *_CONFIG_ERRORS) as exc:

@@ -12,8 +12,8 @@ class MalformedFormat(LogConformalError):
 class UnparsableLine(LogConformalError):
     """A raw line does not match the header schema."""
 
-    def __init__(self, line: str, reason: str = "line does not match header schema"):
-        super().__init__(f"{reason}: {line!r}")
+    def __init__(self, line: str):
+        super().__init__(f"line does not match header schema: {line!r}")
         self.line = line
 
 
@@ -42,7 +42,7 @@ class NoParsers(LogConformalError):
 
 
 class LabelMismatch(LogConformalError):
-    """Verdicts and labels do not cover the same records."""
+    """A labels.csv or split.csv row is malformed or inconsistent with the corpus."""
 
 
 class InvalidSpec(LogConformalError):

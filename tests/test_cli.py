@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logconformal
-from logconformal import cli, conformal, detector
+from logconformal import cli, conformal, detector, evalharness
 from logconformal.cli import main
 from logconformal.detector import ANOMALY, DetectorConfig, render_alarm_line
 from logconformal.evalharness import IIOT_PROFILE
@@ -433,6 +433,8 @@ class TestEval:
     ("train", {"parsers": ""}),
     ("train", {"parsers": False}),
     ("train", {"parsers": None}),
+    ("train", {"paths": {"model": ""}}),
+    ("train", {"paths": {"chain": ""}}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, command, override):
     log = tmp_path / "in.log"
@@ -448,6 +450,73 @@ def test_bad_config_value_is_config_error(tmp_path, command, override):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", [{"parsers": {"drain": {"depth": 1}}},
+                                 {"paths": {"model": 5}}],
+                         ids=["parser-parameter", "model-path"])
+def test_config_error_leaves_the_chain_untouched(tmp_path, capsys, bad):
+    """A ``train`` that exits 2 appends nothing to the chain, so the rerun
+    that follows records each training line once."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--seed", "1", "--train", "50", "--test", "10",
+                 "--anomalies", "2", "--out", str(out)]) == 0
+    chain = tmp_path / "audit.chain"
+    paths = {"chain": str(chain), "model": str(tmp_path / "m.bundle")}
+    train = ["train", "--input", str(out / "train.log"), "--config"]
+    bad_cfg = _config(tmp_path, **{**bad, "paths": {**paths, **bad.get("paths", {})}})
+    assert main([*train, str(bad_cfg)]) == 2
+    assert not chain.exists()
+    assert main([*train, str(_config(tmp_path, paths=paths))]) == 0
+    capsys.readouterr()
+    assert main(["verify-chain", "--store", str(chain)]) == 0
+    assert capsys.readouterr().out == "chain valid: 50 entries\n"
+
+
+@pytest.mark.parametrize("command, flag, default_output", [
+    ("train", "--model", "model.bundle"),
+    ("train", "--format", "model.bundle"),
+    ("detect", "--out", "alarms.jsonl"),
+], ids=["train-model", "train-format", "detect-out"])
+def test_empty_flag_is_config_error(tmp_path, monkeypatch, capsys, command, flag,
+                                    default_output):
+    """A flag given as ``""`` wins over its default and is rejected; it is
+    not dropped in favour of the default output path."""
+    log = tmp_path / "in.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+    bundle = tmp_path / "m.bundle"
+    assert main(["train", "--input", str(log), "--model", str(bundle)]) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = {"train": [], "detect": ["--model", str(bundle)]}[command]
+    assert main([command, "--input", str(log), *argv, flag, ""]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / default_output).exists()
+
+
+@pytest.mark.parametrize("command, override", [
+    ("train", {"parsers": {"drain": {"depth": 1}}}),
+    ("detect", {"paths": {"alarms": 5}}),
+    ("eval", {"paths": {"report": 5}}),
+    ("eval", {"parsers": {"spell": {"lcs_threshold": 2}}}),
+], ids=["train-parser", "detect-alarms", "eval-report", "eval-parser"])
+def test_settings_are_checked_before_any_work(tmp_path, monkeypatch, command, override):
+    """A bad setting is reported before the command reads or synthesizes
+    its input."""
+    log = tmp_path / "in.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+    bundle = tmp_path / "m.bundle"
+    assert main(["train", "--input", str(log), "--model", str(bundle)]) == 0
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("input read before the settings were checked")
+    monkeypatch.setattr(cli, "read_log_file", forbidden)
+    monkeypatch.setattr(evalharness, "load_corpus", forbidden)
+    monkeypatch.setattr(evalharness, "synth_corpus", forbidden)
+    argv = {"train": ["--input", str(log)],
+            "detect": ["--input", str(log), "--model", str(bundle)],
+            "eval": []}[command]
+    assert main([command, "--config", str(_config(tmp_path, **override)), *argv]) == 2
 
 
 def _three_line_eval(tmp_path, labels, split):
