@@ -79,6 +79,13 @@ def _path(value, what: str) -> str:
     return value
 
 
+def _output(value, what: str) -> str:
+    parent = Path(_path(value, what)).parent
+    if not parent.is_dir():
+        raise _ConfigError(f"{what} {value!r}: directory {parent} does not exist")
+    return value
+
+
 def _grid(value, what: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise _ConfigError(f"{what} must be a list of numbers, got {value!r}")
@@ -179,8 +186,8 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     schema, schema_doc = _schema_from_config(cfg, args.format)
     input_path = _required(cfg, "train", args.input, "training input", "input")
-    chain_path = _setting(cfg, "paths.chain", check=_path)
-    model_path = _setting(cfg, "paths.model", args.model, "model.bundle", _path)
+    chain_path = _setting(cfg, "paths.chain", check=_output)
+    model_path = _setting(cfg, "paths.model", args.model, "model.bundle", _output)
     selection = _parser_selection(cfg)
 
     records = _trainable(*read_log_file(input_path, schema))
@@ -206,7 +213,7 @@ def cmd_detect(args) -> int:
     eps = float(_setting(cfg, "epsilon", args.epsilon, 0.27, _level))
     model_path = _required(cfg, "model", args.model, "model bundle", "model", exists=False)
     input_path = _required(cfg, "test", args.input, "detection input", "input")
-    out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _path)
+    out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _output)
 
     models, schema_doc = conformal.load_bundle(model_path)
     schema = compile_schema(schema_doc["format_template"],
@@ -232,7 +239,7 @@ def cmd_eval(args) -> int:
         except ValueError as exc:
             raise _ConfigError(f"bad grid {args.grid!r}") from exc
     grid = _setting(cfg, "grid", grid, evalharness.DEFAULT_GRID, _grid)
-    out_path = _setting(cfg, "paths.report", args.out, "sweep.csv", _path)
+    out_path = _setting(cfg, "paths.report", args.out, "sweep.csv", _output)
     selection = _parser_selection(cfg)
     keys = ("corpus", "labels", "split")
     sources = [_setting(cfg, f"paths.{key}", check=_path) for key in keys]
@@ -240,6 +247,10 @@ def cmd_eval(args) -> int:
         missing = ", ".join(f"paths.{k}" for k, src in zip(keys, sources) if not src)
         raise _ConfigError(f"eval reads a corpus from files only when paths.corpus, "
                            f"paths.labels and paths.split are all set; missing {missing}")
+    for flag in ("seed", "profile") if all(sources) else ("format",):
+        if getattr(args, flag) is not None:  # a flag the corpus source would not read
+            raise _ConfigError(f"--{flag} does not apply to eval on a "
+                               f"{'corpus from files' if all(sources) else 'synthetic corpus'}")
     if all(sources):
         schema, _ = _schema_from_config(cfg, args.format)
         corpus = evalharness.load_corpus(*sources, schema)

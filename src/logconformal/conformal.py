@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, InvalidSpec,
                      MalformedFormat, UnknownParser, UnknownTemplate)
 from .ingest import compile_schema
-from .nonconformity import MAX_EXACT_GAP, nearest, weighted_score
+from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
 from .templates import EventTemplate, TemplateSet
 
@@ -103,7 +103,7 @@ def pvalues_for(model: CalibrationModel, record) -> PValueSet:
             raise UnknownTemplate(tid)
         if not scores:
             out.pvalues[tid] = 0.0
-        elif scores[-1] == 0.0 and len(tokens) - len(tmpl.tokens) <= MAX_EXACT_GAP:
+        elif scores[-1] == 0.0:
             out.pvalues[tid] = 1.0 if tmpl.matches(tokens) else 0.0
         else:
             out.pvalues[tid] = pvalue(model, tid, weighted_score(tmpl.tokens, tokens))
@@ -150,6 +150,8 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
                                           support=support))
     calib = {tid: list(scores) for tid, scores in doc["calibration"].items()}
     ids = [t.template_id for t in ts.templates]
+    if not ids:
+        raise ValueError(f"{name}: no templates")
     if len(set(ids)) != len(ids) or set(ids) != set(calib):
         raise ValueError(f"{name}: calibration keys differ from the template ids")
     for tid, scores in calib.items():

@@ -1,9 +1,9 @@
 """Ensemble verdicts from per-parser p-value sets.
 
 For each parser, template labels whose p-value reaches the significance
-level survive as that parser's prediction set. A record is alarmed only
-when every parser's prediction set is empty; any surviving label anywhere
-vouches for normality.
+level survive as that parser's prediction set. A record is alarmed when its
+largest p-value over all parsers is below the level (an empty set counts as
+0), the sweep's rule: any surviving label anywhere vouches for normality.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def decide(psets: list[PValueSet], cfg: DetectorConfig, line_id: int = 0) -> Ver
         prediction[pset.parser_name] = [(tid, p) for tid, p in pset.pvalues.items()
                                         if p >= cfg.epsilon]
     max_p = max(pset.max_p() for pset in psets)
-    label = ANOMALY if all(not s for s in prediction.values()) else NORMAL
+    label = ANOMALY if max_p < cfg.epsilon else NORMAL
     return Verdict(line_id=line_id, label=label, prediction_set=prediction,
                    max_p=max_p)
 

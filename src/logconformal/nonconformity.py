@@ -84,15 +84,11 @@ def edit_script(a, b) -> tuple[tuple[str, int], ...]:
     return tuple(ops)
 
 
-# A non-empty edit script scores exactly 0 only if every edit's sigmoid
-# weight is 0, which ``_weight`` returns once x - v > 700. An edit
-# position x is at most n + 1 and the center v is (m + n) / 2 for a template
-# of m tokens and a record of n, so x - v <= (n - m) / 2 + 1: up to this
-# length gap, "score is 0" is exactly "positional match". Longer records are
-# scored by the DP.
-MAX_EXACT_GAP = 1398
-
-
+# At the default center v = (m + n) / 2 (m template, n record tokens) every
+# non-empty edit script has an edit at x - v <= 0.5, weighing >= 1/(1+e**0.5)
+# ~ 0.3775: if n > m, its >= n - m inserts sit at distinct x, the first at
+# x <= m + 1; if n < m, every x <= n + 1; if n == m, a replace or insert is at
+# x <= n. So a score is 0 exactly when the template matches positionally.
 def _weight(x: int, v: float) -> float:
     t = x - v
     if t > 700.0:  # exp overflow guard; weight is ~0 long before this
@@ -116,23 +112,14 @@ def weighted_score(template, record, params: ScoreParams | None = None) -> float
 def nearest(ts: TemplateSet, tokens) -> tuple[str, float]:
     """Id and score of the template of ``ts`` nearest to ``tokens``.
 
-    A positional match scores 0, the least possible score, so while the
-    record is at most ``MAX_EXACT_GAP`` tokens longer than the shortest
-    template the matching templates are found without the DP. Otherwise
-    every template is scored. Ties go to the smaller id compared as a
-    string (``"T10" < "T2"``).
+    Only a positional match scores 0, so the DP runs only when no template
+    matches. Ties go to the smaller id compared as a string (``"T10" < "T2"``).
     """
     if not ts.templates:
         raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
-    # a record of at most MAX_EXACT_GAP tokens is within the gap of any template
-    if len(tokens) <= MAX_EXACT_GAP \
-            or len(tokens) - min(len(t.tokens) for t in ts.templates) <= MAX_EXACT_GAP:
-        matching = [t.template_id for t in ts.templates if t.matches(tokens)]
-        if matching:
-            return min(matching), 0.0
-    best_id, best = None, math.inf
-    for tmpl in ts.templates:
-        s = weighted_score(tmpl.tokens, tokens)
-        if s < best or (s == best and tmpl.template_id < best_id):
-            best_id, best = tmpl.template_id, s
-    return best_id, best
+    matching = [t.template_id for t in ts.templates if t.matches(tokens)]
+    if matching:
+        return min(matching), 0.0
+    score, best_id = min((weighted_score(t.tokens, tokens), t.template_id)
+                         for t in ts.templates)
+    return best_id, score

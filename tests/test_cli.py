@@ -519,6 +519,77 @@ def test_settings_are_checked_before_any_work(tmp_path, monkeypatch, command, ov
     assert main([command, "--config", str(_config(tmp_path, **override)), *argv]) == 2
 
 
+@pytest.mark.parametrize("command, key", [
+    ("train", "model"), ("train", "chain"), ("detect", "alarms"), ("eval", "report"),
+], ids=["train-model", "train-chain", "detect-alarms", "eval-report"])
+def test_output_directory_is_checked_before_any_work(tmp_path, monkeypatch, capsys,
+                                                     command, key):
+    """An output path whose directory does not exist is a configuration
+    error, reported before the command reads or synthesizes its input."""
+    log = tmp_path / "in.log"
+    log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
+    bundle = tmp_path / "m.bundle"
+    assert main(["train", "--input", str(log), "--model", str(bundle)]) == 0
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("input read before the settings were checked")
+    monkeypatch.setattr(cli, "read_log_file", forbidden)
+    monkeypatch.setattr(evalharness, "load_corpus", forbidden)
+    monkeypatch.setattr(evalharness, "synth_corpus", forbidden)
+    argv = {"train": ["--input", str(log)],
+            "detect": ["--input", str(log), "--model", str(bundle)],
+            "eval": []}[command]
+    capsys.readouterr()
+    cfg = _config(tmp_path, paths={key: str(tmp_path / "nodir" / "out")})
+    assert main([command, "--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: paths.{key} ")
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("key", ["model", "chain"])
+def test_missing_output_directory_leaves_the_chain_untouched(tmp_path, capsys, key):
+    """``train`` with an output in a missing directory exits 2 before it
+    appends to the chain, so the corrected rerun records each line once."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--seed", "1", "--train", "50", "--test", "10",
+                 "--anomalies", "2", "--out", str(out)]) == 0
+    chain = tmp_path / "audit.chain"
+    paths = {"chain": str(chain), "model": str(tmp_path / "m.bundle")}
+    train = ["train", "--input", str(out / "train.log"), "--config"]
+    bad = {**paths, key: str(tmp_path / "nodir" / Path(paths[key]).name)}
+    assert main([*train, str(_config(tmp_path, paths=bad))]) == 2
+    assert not chain.exists() and not (tmp_path / "nodir").exists()
+    assert main([*train, str(_config(tmp_path, paths=paths))]) == 0
+    capsys.readouterr()
+    assert main(["verify-chain", "--store", str(chain)]) == 0
+    assert capsys.readouterr().out == "chain valid: 50 entries\n"
+
+
+@pytest.mark.parametrize("source, flag", [
+    ("files", ["--seed", "3"]),
+    ("files", ["--profile", "hdfs"]),
+    ("synthetic", ["--format", "<Nope> <Content>"]),
+], ids=["files-seed", "files-profile", "synthetic-format"])
+def test_eval_flag_its_corpus_source_does_not_read_is_config_error(
+        tmp_path, monkeypatch, capsys, source, flag):
+    """``--seed`` and ``--profile`` shape only a synthetic corpus and
+    ``--format`` only one read from files; given for the other source, the
+    flag is rejected before any read instead of being ignored."""
+    paths = {key: str(tmp_path / key) for key in ("corpus", "labels", "split")}
+    for path in paths.values():
+        Path(path).write_text("", encoding="utf-8")
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("corpus read before the settings were checked")
+    monkeypatch.setattr(evalharness, "load_corpus", forbidden)
+    monkeypatch.setattr(evalharness, "synth_corpus", forbidden)
+    cfg = _config(tmp_path, **({"paths": paths} if source == "files" else {}))
+    report = tmp_path / "sweep.csv"
+    assert main(["eval", "--config", str(cfg), "--out", str(report), *flag]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[0]} ")
+    assert not report.exists()
+
+
 def _three_line_eval(tmp_path, labels, split):
     """Run ``eval`` on a 3-line corpus with the given sidecar rows."""
     log = tmp_path / "corpus.log"
@@ -582,7 +653,7 @@ def test_eval_with_some_corpus_paths_is_config_error(tmp_path, keys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("where", ["directory", "not-a-chain"])
 def test_unusable_chain_path_is_data_error(tmp_path, where):
     log = tmp_path / "in.log"
     log.write_text("2019-06-01 00:00:00 SYS1 ETH0 Boot ok\n", encoding="utf-8")
@@ -591,7 +662,7 @@ def test_unusable_chain_path_is_data_error(tmp_path, where):
         chain.mkdir()
         (chain / "entry").write_bytes(b"x" * 100)  # a directory of non-zero size
     else:
-        chain = chain / "audit.chain"
+        chain.write_bytes(b"x" * 100)  # a file that fails verification
     cfg = _config(tmp_path, paths={"chain": str(chain)})
     proc = _run_cli("train", "--config", str(cfg), "--input", str(log),
                     "--model", str(tmp_path / "m.bundle"))

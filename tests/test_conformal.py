@@ -205,7 +205,7 @@ class TestPruningMatchesDP:
         ts = _dp_model(_TIED).template_set
         assert calibrate(ts, [make_record(1, ["a", "b"])]).calib["T10"] == [0.0]
 
-    def test_long_record_reaches_the_dp(self, monkeypatch):
+    def test_long_record_needs_no_dp(self, monkeypatch):
         runs = []
         edit_script = nonconformity.edit_script
 
@@ -216,11 +216,45 @@ class TestPruningMatchesDP:
         model = _dp_model([("T1", ["a"], [0.0]), ("T2", ["a", "b"], [])])
         rec = make_record(1, ["a"] + ["b"] * 1400)
         assert pvalues_for(model, rec).pvalues == {"T1": 0.0, "T2": 0.0}
-        assert runs == [1401]  # T1 only: T2's empty reservoir needs no score
+        assert runs == []  # T1's all-zero reservoir: the match decides
         argmin, min_score = dp_nearest(model.template_set, rec)
         runs.clear()
         assert calibrate(model.template_set, [rec]).calib[argmin] == [min_score]
-        assert runs == [1401, 1401]
+        assert runs == [1401, 1401]  # nothing matches, so every template is scored
+
+    def test_long_match_needs_no_dp(self, monkeypatch):
+        runs = []
+        edit_script = nonconformity.edit_script
+
+        def counted(a, b):
+            runs.append(len(b))
+            return edit_script(a, b)
+        monkeypatch.setattr(nonconformity, "edit_script", counted)
+        ts = _dp_model([("T1", ["start"], []),
+                        ("T2", ["dump"] + [WILDCARD] * 1499, [])]).template_set
+        rec = make_record(1, ["dump"] + [str(i) for i in range(1499)])
+        assert calibrate(ts, [rec]).calib == {"T1": [], "T2": [0.0]}
+        assert match_record(ts, rec) == "T2"
+        assert runs == []
+
+
+_FLOOR = 1 / (1 + math.e ** 0.5)  # least weight of an edit at x - v <= 0.5
+_SHORT = st.lists(st.sampled_from(["a", "b", WILDCARD]), max_size=4)
+
+
+@given(_SHORT, st.lists(st.sampled_from(["a", "b", "c"]), max_size=6),
+       st.integers(min_value=0, max_value=3000), st.sampled_from(["a", "b", "c"]))
+@example(["a"], ["a"], 1400, "b")
+@example(["a", WILDCARD], ["a", "c"], 0, "b")
+@example(["a", "b", "b", "b"], [], 0, "a")
+@settings(max_examples=200, deadline=None)
+def test_zero_score_is_exactly_a_positional_match(template, head, gap, filler):
+    """At the default center a score is 0 iff the template matches, and any
+    other score is at least 1 / (1 + e**0.5), at every length gap."""
+    record = head + [filler] * gap
+    score = weighted_score(template, record)
+    assert (score == 0.0) == EventTemplate("T1", tuple(template)).matches(record)
+    assert score == 0.0 or score >= _FLOOR
 
 
 def _largest(model_doc):
@@ -267,6 +301,9 @@ def _corrupt(doc, how):
         model_doc["templates"][0][1] = " ".join(model_doc["templates"][0][1])
     elif how == "string support":
         model_doc["templates"][0][2] = "x"
+    elif how == "no templates":
+        model_doc["templates"], model_doc["calibration"] = [], {}
+        model_doc["total_count"] = 0
 
 
 class TestBundle:
@@ -336,7 +373,7 @@ class TestBundle:
                                      "no models", "unknown parser",
                                      "bad param type", "params not an object",
                                      "repeated parser", "string tokens",
-                                     "string support"])
+                                     "string support", "no templates"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))

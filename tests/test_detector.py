@@ -2,7 +2,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logconformal import detector
@@ -78,6 +78,19 @@ class TestDecide:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             DetectorConfig(epsilon=1.5)
+
+    @given(st.lists(st.dictionaries(st.sampled_from(["T1", "T2", "T3"]),
+                                    st.sampled_from([0.0, 0.1, 0.27, 0.5, 1.0]),
+                                    max_size=3), min_size=1, max_size=4),
+           st.sampled_from([0.0, 0.1, 0.27, 0.4, 1.0]))
+    @example([{}], 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_alarm_iff_every_max_p_is_below_epsilon(self, pvalue_maps, eps):
+        """The sweep's rule: empty sets count as max_p 0, so epsilon 0 never
+        alarms, even a parser without templates."""
+        psets = [_pset(f"p{i}", pv) for i, pv in enumerate(pvalue_maps)]
+        v = decide(psets, DetectorConfig(epsilon=eps))
+        assert (v.label == ANOMALY) == all(ps.max_p() < eps for ps in psets)
 
 
 def _trained_models():
