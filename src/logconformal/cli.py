@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import (BundleError, EmptyCorpus, InvalidSpec, LogConformalError,
@@ -193,13 +194,14 @@ def cmd_train(args) -> int:
     records = _trainable(*read_log_file(input_path, schema))
     if not records:
         raise EmptyCorpus(f"no parsable records in {input_path}")
-    if chain_path is not None:
-        with ChainStore(chain_path) as store:
+    # a store that fails verification stops train before any fit, and the
+    # records reach the store only once the bundle is written
+    with nullcontext() if chain_path is None else ChainStore(chain_path) as store:
+        models = _train_models(selection, records)
+        conformal.save_bundle(models, schema_doc, model_path)
+        if store is not None:
             for rec in records:
                 store.append(rec)
-
-    models = _train_models(selection, records)
-    conformal.save_bundle(models, schema_doc, model_path)
     counts = ", ".join(f"{m.parser_name}={len(m.template_set.templates)}"
                        for m in models)
     print(f"trained on {len(records)} records; templates: {counts}; "

@@ -77,8 +77,6 @@ def detect_batch(models: list[CalibrationModel], records,
         if shared is None:
             try:
                 shared = decide(pvalue_sets_for(models, rec), cfg)
-            except NoParsers:
-                raise
             except Exception as exc:  # per-record error channel
                 verdicts.append(Verdict(line_id=rec.line_id, label=ANOMALY,
                                         prediction_set={}, max_p=0.0,

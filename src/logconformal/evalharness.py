@@ -131,7 +131,6 @@ def _pick_event(rng: random.Random, profile: CorpusProfile) -> EventSpec:
         acc += event.weight
         if roll < acc:
             return event
-    return profile.events[-1]
 
 
 def _normal_content(rng: random.Random, profile: CorpusProfile) -> str:
@@ -225,8 +224,7 @@ def synth_corpus(seed: int, n_train: int, n_test: int, n_anomalies: int,
             labels[line_id] = NORMAL
 
     schema = compile_schema(profile.format_template, profile.mask_rules)
-    records, skipped = read_records(raw_lines, schema, on_error="raise")
-    assert skipped == 0
+    records, _ = read_records(raw_lines, schema, on_error="raise")
     return LabeledCorpus(records=records, labels=labels,
                          train_ids=list(range(1, n_train + 1)),
                          test_ids=list(range(n_train + 1, n_train + n_test + 1)),
@@ -406,25 +404,23 @@ def _fmt_ratio(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def render_sweep_csv(rows: list[SweepRow]) -> str:
-    out = ["configuration,epsilon,tp,fp,fn,tn,precision,recall"]
+def _sweep_cells(rows: list[SweepRow]) -> list[list[str]]:
+    """The header and one row of cells per sweep row; an empty ratio is ``""``."""
+    cells = [["configuration", "epsilon", "tp", "fp", "fn", "tn", "precision", "recall"]]
     for r in rows:
         m = r.metrics
-        out.append(f"{r.configuration},{r.epsilon},{m.tp},{m.fp},{m.fn},{m.tn},"
-                   f"{_fmt_ratio(m.precision)},{_fmt_ratio(m.recall)}")
-    return "\n".join(out) + "\n"
+        cells.append([r.configuration, str(r.epsilon), str(m.tp), str(m.fp), str(m.fn),
+                      str(m.tn), _fmt_ratio(m.precision), _fmt_ratio(m.recall)])
+    return cells
+
+
+def render_sweep_csv(rows: list[SweepRow]) -> str:
+    return "".join(",".join(row) + "\n" for row in _sweep_cells(rows))
 
 
 def render_sweep_table(rows: list[SweepRow]) -> str:
-    headers = ["configuration", "epsilon", "tp", "fp", "fn", "tn",
-               "precision", "recall"]
-    cells = [headers]
-    for r in rows:
-        m = r.metrics
-        cells.append([r.configuration, str(r.epsilon), str(m.tp), str(m.fp),
-                      str(m.fn), str(m.tn), _fmt_ratio(m.precision) or "-",
-                      _fmt_ratio(m.recall) or "-"])
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    cells = [[cell or "-" for cell in row] for row in _sweep_cells(rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
              for row in cells]
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Heterogeneous log-parser backends behind one training interface.
 
 Four miners ship: drain, spell, iplom and logcluster. Each is a black box
-with one contract: ``miner(records, **params)`` takes tokenized records and
-the fields of its params dataclass as keywords, and returns
+with one contract: ``fit_<name>(records, **params)`` in module ``<name>``
+takes tokenized records and the fields of its params dataclass as required
+keywords (their defaults live only on that class), and returns
 ``[(template_tokens, member_line_ids), ...]`` in creation order, every
 record in exactly one group. ``fit`` is the only code that turns those
 groups into a :class:`~logconformal.templates.TemplateSet`; its templates
@@ -18,8 +19,6 @@ from dataclasses import asdict, dataclass, fields
 from ..errors import EmptyCorpus, InvalidSpec, UnknownParser
 from ..nonconformity import nearest
 from ..templates import EventTemplate, TemplateSet
-
-PARSER_NAMES = ("drain", "spell", "iplom", "logcluster")
 
 
 @dataclass(frozen=True)
@@ -70,36 +69,21 @@ class LogClusterParams:
             raise ValueError("min_support must be at least 2")
 
 
-ParserParams = DrainParams | SpellParams | IPLoMParams | LogClusterParams
+_PARAMS: dict[str, type] = {"drain": DrainParams, "spell": SpellParams,
+                            "iplom": IPLoMParams, "logcluster": LogClusterParams}
+PARSER_NAMES = tuple(_PARAMS)
 
 
-def _miner(name: str):
-    """``fit_<name>`` of the module ``<name>``, imported on the first call,
-    so that loading a bundle needs only the params classes."""
-    def mine(records, **params):
-        module = importlib.import_module(f"{__name__}.{name}")
-        return getattr(module, f"fit_{name}")(records, **params)
-    return mine
-
-
-_REGISTRY: dict[str, tuple[type, object]] = {
-    "drain": (DrainParams, _miner("drain")),
-    "spell": (SpellParams, _miner("spell")),
-    "iplom": (IPLoMParams, _miner("iplom")),
-    "logcluster": (LogClusterParams, _miner("logcluster")),
-}
-
-
-def params_from_dict(parser_name: str, overrides: dict | None) -> ParserParams:
+def params_from_dict(parser_name: str, overrides: dict | None):
     """Build a parser's params from config overrides.
 
     Raises :class:`InvalidSpec` for an unknown key, a value whose type
     differs from the default's (an int is accepted where a float is
     expected), or a value out of range.
     """
-    if parser_name not in _REGISTRY:
+    if parser_name not in _PARAMS:
         raise UnknownParser(parser_name)
-    params_cls = _REGISTRY[parser_name][0]
+    params_cls = _PARAMS[parser_name]
     overrides = overrides or {}
     if not isinstance(overrides, dict):
         raise InvalidSpec(f"{parser_name} parameters must be an object")
@@ -119,25 +103,26 @@ def params_from_dict(parser_name: str, overrides: dict | None) -> ParserParams:
         raise InvalidSpec(f"{parser_name}: {exc}") from exc
 
 
-def fit(parser_name: str, params: ParserParams | None, records) -> TemplateSet:
+def fit(parser_name: str, params, records) -> TemplateSet:
     """Train one parser on tokenized records.
 
     The miner's groups become templates ``T1..Tk`` in the order the miner
     returns them, each with one support per member line. Deterministic for
     identical inputs.
     """
-    if parser_name not in _REGISTRY:
+    if parser_name not in _PARAMS:
         raise UnknownParser(parser_name)
     records = list(records)
     if not records:
         raise EmptyCorpus("no training records")
     if any(not rec.tokens for rec in records):
         raise ValueError("records must be tokenized; found a record with no tokens")
-    params_cls, miner = _REGISTRY[parser_name]
-    if params is None:
-        params = params_cls()
-    ts = TemplateSet(parser_name=parser_name, parser_params=asdict(params))
-    for k, (tokens, member_ids) in enumerate(miner(records, **asdict(params)), 1):
+    params = asdict(params or _PARAMS[parser_name]())
+    # imported here: loading a bundle needs only the params classes
+    miner = getattr(importlib.import_module(f"{__name__}.{parser_name}"),
+                    f"fit_{parser_name}")
+    ts = TemplateSet(parser_name=parser_name, parser_params=params)
+    for k, (tokens, member_ids) in enumerate(miner(records, **params), 1):
         ts.templates.append(EventTemplate(template_id=f"T{k}", tokens=tuple(tokens),
                                           support=len(member_ids)))
     return ts
@@ -154,5 +139,5 @@ def match_record(ts: TemplateSet, record) -> str | None:
 
 __all__ = [
     "PARSER_NAMES", "DrainParams", "SpellParams", "IPLoMParams",
-    "LogClusterParams", "ParserParams", "fit", "match_record", "params_from_dict",
+    "LogClusterParams", "fit", "match_record", "params_from_dict",
 ]

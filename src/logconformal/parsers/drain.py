@@ -43,8 +43,7 @@ class _Node:
 
 
 class DrainTree:
-    def __init__(self, depth: int = 4, sim_threshold: float = 0.5,
-                 max_children: int = 100):
+    def __init__(self, depth: int, sim_threshold: float, max_children: int):
         # depth counts root, token-count level, leading-token levels and the
         # leaf group level, so depth 4 keys one leading token.
         self.lead_levels = depth - 3
@@ -124,8 +123,7 @@ class DrainTree:
         return cluster
 
 
-def fit_drain(records, depth: int = 4, sim_threshold: float = 0.5,
-              max_children: int = 100):
+def fit_drain(records, *, depth: int, sim_threshold: float, max_children: int):
     """Group records; returns (template, line_ids) pairs in creation order."""
     tree = DrainTree(depth=depth, sim_threshold=sim_threshold,
                      max_children=max_children)

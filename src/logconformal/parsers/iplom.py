@@ -111,8 +111,8 @@ def _step3(rows, lower_bound):
     return [rows]
 
 
-def fit_iplom(records, partition_support_threshold: float = 0.0,
-              lower_bound: float = 0.25, upper_bound: float = 0.9):
+def fit_iplom(records, *, partition_support_threshold: float,
+              lower_bound: float, upper_bound: float):
     """Partition records; returns a list of (template_tokens, line_ids)."""
     ids_of: dict[tuple[str, ...], list[int]] = {}
     for rec in records:
@@ -124,16 +124,12 @@ def fit_iplom(records, partition_support_threshold: float = 0.0,
     final = []
     for count in sorted(by_count):
         level1 = by_count[count]
-        level2 = []
         for part in _apply_support_threshold(
                 _step2(level1, upper_bound), _lines(level1),
                 partition_support_threshold):
-            level2.append(part)
-        for part in level2:
-            for out in _apply_support_threshold(
-                    _step3(part, lower_bound), _lines(part),
-                    partition_support_threshold):
-                final.append(out)
+            final.extend(_apply_support_threshold(
+                _step3(part, lower_bound), _lines(part),
+                partition_support_threshold))
 
     described = []
     for part in final:

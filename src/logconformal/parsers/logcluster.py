@@ -15,7 +15,7 @@ from collections import Counter
 from ..templates import WILDCARD
 
 
-def fit_logcluster(records, min_support: int = 10):
+def fit_logcluster(records, *, min_support: int):
     """Cluster records; returns (template, line_ids) pairs in first-seen order.
 
     Each distinct token sequence is keyed once; a word's support is the

@@ -37,7 +37,7 @@ def lcs_length(a, b) -> int:
     return prev[-1]
 
 
-def fit_spell(records, lcs_threshold: float = 0.5):
+def fit_spell(records, *, lcs_threshold: float):
     """Group records; returns (template, line_ids) pairs in creation order."""
     ids_of: dict[tuple[str, ...], list[int]] = {}
     for rec in records:

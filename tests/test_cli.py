@@ -565,6 +565,29 @@ def test_missing_output_directory_leaves_the_chain_untouched(tmp_path, capsys, k
     assert capsys.readouterr().out == "chain valid: 50 entries\n"
 
 
+def test_failed_bundle_write_leaves_the_chain_untouched(tmp_path, capsys):
+    """``train`` appends to the chain only once the bundle is written, so a
+    bundle write that fails adds no entry and the corrected rerun records
+    each line once."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--seed", "1", "--train", "50", "--test", "10",
+                 "--anomalies", "2", "--out", str(out)]) == 0
+    chain = tmp_path / "audit.chain"
+    model = tmp_path / "m.bundle"
+    model.mkdir()  # the rename onto a directory fails
+    train = ["train", "--input", str(out / "train.log"), "--model", str(model),
+             "--config", str(_config(tmp_path, paths={"chain": str(chain)}))]
+    assert main(train) == 3
+    capsys.readouterr()
+    assert main(["verify-chain", "--store", str(chain)]) == 0
+    assert capsys.readouterr().out == "chain valid: 0 entries\n"
+    model.rmdir()
+    assert main(train) == 0
+    capsys.readouterr()
+    assert main(["verify-chain", "--store", str(chain)]) == 0
+    assert capsys.readouterr().out == "chain valid: 50 entries\n"
+
+
 @pytest.mark.parametrize("source, flag", [
     ("files", ["--seed", "3"]),
     ("files", ["--profile", "hdfs"]),

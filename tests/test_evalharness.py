@@ -309,6 +309,20 @@ class TestSweep:
         assert "ensemble" in table
         assert render_sweep_csv(rows) == csv  # stable
 
+    def test_empty_ratio_is_blank_in_csv_and_dash_in_table(self):
+        rows = [SweepRow(configuration="drain", epsilon=0.27,
+                         metrics=Metrics(tp=0, fp=0, fn=0, tn=5)),
+                SweepRow(configuration="ensemble", epsilon=0.3,
+                         metrics=Metrics(tp=3, fp=1, fn=0, tn=2))]
+        assert render_sweep_csv(rows) == (
+            "configuration,epsilon,tp,fp,fn,tn,precision,recall\n"
+            "drain,0.27,0,0,0,5,,\n"
+            "ensemble,0.3,3,1,0,2,0.750000,1.000000\n")
+        assert render_sweep_table(rows) == (
+            "configuration  epsilon  tp  fp  fn  tn  precision  recall\n"
+            "drain          0.27     0   0   0   5   -          -\n"
+            "ensemble       0.3      3   1   0   2   0.750000   1.000000\n")
+
     def test_profiles_exposed(self):
         assert IIOT_PROFILE.name == "iiot"
         assert HDFS_PROFILE.name == "hdfs"

@@ -1,10 +1,11 @@
-from dataclasses import asdict
+import importlib
+import inspect
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logconformal import parsers
 from logconformal.errors import EmptyCorpus, InvalidSpec, UnknownParser
 from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
                                   SpellParams, fit, match_record,
@@ -26,11 +27,15 @@ def _params(name):
     return LogClusterParams(min_support=2) if name == "logcluster" else None
 
 
+def _fit_of(name):
+    """``fit_<name>`` of module ``<name>``, imported the way ``fit`` does."""
+    return getattr(importlib.import_module(f"logconformal.parsers.{name}"),
+                   f"fit_{name}")
+
+
 def _groups(name, params, records):
-    """The miner's (template_tokens, member_ids) groups, through the
-    registry entry that ``fit`` uses."""
-    params_cls, miner = parsers._REGISTRY[name]
-    return miner(records, **asdict(params or params_cls()))
+    """The miner's (template_tokens, member_ids) groups."""
+    return _fit_of(name)(records, **asdict(params or params_from_dict(name, None)))
 
 
 def _assert_partition(records, groups):
@@ -148,6 +153,24 @@ class TestParamsFromDict:
     def test_unknown_parser(self):
         with pytest.raises(UnknownParser):
             params_from_dict("nope", {})
+
+
+class TestDefaultsDeclaredOnce:
+    """Each parameter default lives only on its params class."""
+
+    @pytest.mark.parametrize("name", ALL_PARSERS)
+    def test_params_fields_are_required_keywords(self, name):
+        records, *rest = inspect.signature(_fit_of(name)).parameters.values()
+        assert records.name == "records"
+        assert [(p.kind, p.default) for p in rest] == \
+            [(inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty)] * len(rest)
+        assert [p.name for p in rest] == \
+            [f.name for f in fields(type(params_from_dict(name, None)))]
+
+    def test_drain_tree_has_no_defaults(self):
+        from logconformal.parsers.drain import DrainTree
+        assert all(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(DrainTree).parameters.values())
 
 
 class TestPartitionProperties:
