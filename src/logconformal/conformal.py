@@ -28,12 +28,20 @@ BUNDLE_VERSION = 1
 
 @dataclass
 class CalibrationModel:
-    """Per-template reservoirs of training nonconformity scores."""
+    """Per-template reservoirs of training nonconformity scores.
+
+    A reservoir does not change once the model is built. A template appended
+    to the model's set comes with its reservoir.
+    """
 
     parser_name: str
     template_set: TemplateSet
     calib: dict[str, list[float]]  # ascending and non-negative per template
     total_count: int
+    # what the reservoirs decide alone (see ``_by_reservoir``), derived for
+    # the first ``_derived_for`` templates
+    _derived_for: int = field(default=-1, init=False, repr=False, compare=False)
+    _derived: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -86,28 +94,53 @@ def pvalue(model: CalibrationModel, template_id: str, alpha_star: float) -> floa
     return (len(scores) - bisect_left(scores, alpha_star)) / len(scores)
 
 
+def _by_reservoir(model: CalibrationModel) -> tuple[dict[str, float], set[str],
+                                                   list[EventTemplate]]:
+    """The model's templates by what their reservoir decides alone: every id
+    mapped to 0.0 in template order, the ids whose reservoir is all zero, and
+    the templates whose reservoir holds a positive score, in template order.
+
+    Derived again only when the template count changes; raises
+    :class:`UnknownTemplate` for a template without a reservoir.
+    """
+    templates = model.template_set.templates
+    if model._derived_for != len(templates):
+        zeros, all_zero, scored = {}, set(), []
+        for tmpl in templates:
+            tid = tmpl.template_id
+            scores = model.calib.get(tid)
+            if scores is None:
+                raise UnknownTemplate(tid)
+            zeros[tid] = 0.0
+            if scores and scores[-1] == 0.0:
+                all_zero.add(tid)
+            elif scores:
+                scored.append(tmpl)
+        model._derived = zeros, all_zero, scored
+        model._derived_for = len(templates)
+    return model._derived
+
+
 def pvalues_for(model: CalibrationModel, record) -> PValueSet:
-    """P-value of the record under every template of the model.
+    """P-value of the record under every template of the model, keyed in
+    template order.
 
     Where the reservoir decides the p-value alone the score is not computed:
     an empty reservoir gives 0, and an all-zero one (sorted and non-negative,
     so its last score is 0) gives 1 exactly when the score is 0, that is
-    when the template matches the record positionally.
+    when the template matches the record positionally, which needs the
+    record's length.
     """
-    out = PValueSet(parser_name=model.parser_name)
+    zeros, all_zero, scored = _by_reservoir(model)
+    pvalues = zeros.copy()
     tokens = record.tokens
-    for tmpl in model.template_set.templates:
-        tid = tmpl.template_id
-        scores = model.calib.get(tid)
-        if scores is None:
-            raise UnknownTemplate(tid)
-        if not scores:
-            out.pvalues[tid] = 0.0
-        elif scores[-1] == 0.0:
-            out.pvalues[tid] = 1.0 if tmpl.matches(tokens) else 0.0
-        else:
-            out.pvalues[tid] = pvalue(model, tid, weighted_score(tmpl.tokens, tokens))
-    return out
+    for tmpl in model.template_set.of_length(len(tokens)):
+        if tmpl.template_id in all_zero and tmpl.matches(tokens):
+            pvalues[tmpl.template_id] = 1.0
+    for tmpl in scored:
+        pvalues[tmpl.template_id] = pvalue(model, tmpl.template_id,
+                                           weighted_score(tmpl.tokens, tokens))
+    return PValueSet(parser_name=model.parser_name, pvalues=pvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +159,19 @@ def _model_to_doc(model: CalibrationModel) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``1.0`` compare equal to 1 but are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _model_from_doc(doc: dict) -> CalibrationModel:
     """Build a model from its bundle document; ``ValueError`` if malformed.
 
-    The parser name and params must be ones ``train`` accepts, and each
-    template a list of string tokens with an integer support. The pruned
-    p-values rely on each reservoir being sorted, finite and non-negative,
-    and on a reservoir for every template.
+    The parser name and params must be ones ``train`` accepts, each
+    template a list of string tokens with an integer support, and
+    ``total_count`` an integer. The pruned p-values rely on each reservoir
+    being sorted, finite and non-negative, and on a reservoir for every
+    template.
     """
     name = doc["parser_name"]
     try:
@@ -142,7 +181,7 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     ts = TemplateSet(parser_name=name, parser_params=doc["parser_params"])
     for template_id, tokens, support in doc["templates"]:
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens) \
-                or isinstance(support, bool) or not isinstance(support, int):
+                or not _is_int(support):
             raise ValueError(f"{name}: template {template_id!r} needs a list of "
                              f"string tokens and an integer support")
         ts.templates.append(EventTemplate(template_id=template_id,
@@ -159,10 +198,13 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
                 or (scores and scores[0] < 0):
             raise ValueError(f"{name}: reservoir {tid} is not sorted, finite "
                              f"and non-negative")
-    if sum(map(len, calib.values())) != doc["total_count"]:
+    total = doc["total_count"]
+    if not _is_int(total):
+        raise ValueError(f"{name}: total_count must be an integer, got {total!r}")
+    if sum(map(len, calib.values())) != total:
         raise ValueError(f"{name}: reservoir sizes do not sum to total_count")
     return CalibrationModel(parser_name=name, template_set=ts, calib=calib,
-                            total_count=doc["total_count"])
+                            total_count=total)
 
 
 def bundle_to_bytes(models: list[CalibrationModel], schema_doc: dict) -> bytes:
@@ -199,7 +241,8 @@ def load_bundle(path) -> tuple[list[CalibrationModel], dict]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("bundle_version") != BUNDLE_VERSION:
+    version = doc.get("bundle_version") if isinstance(doc, dict) else None
+    if not _is_int(version) or version != BUNDLE_VERSION:
         raise BundleError(f"unsupported bundle version in {path}")
     try:
         models = [_model_from_doc(m) for m in doc["models"]]

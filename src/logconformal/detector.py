@@ -39,16 +39,21 @@ class Verdict:
 def decide(psets: list[PValueSet], cfg: DetectorConfig, line_id: int = 0) -> Verdict:
     """Filter each parser's p-values at epsilon and label the record.
 
-    The boundary survives: p == epsilon stays in the prediction set.
+    The boundary survives: p == epsilon stays in the prediction set. A
+    parser's p-values are filtered only when its largest one survives.
     """
     if not psets:
         raise NoParsers("need p-value sets from at least one parser")
+    eps = cfg.epsilon
     prediction: dict[str, list[tuple[str, float]]] = {}
+    tops = []
     for pset in psets:
+        top = pset.max_p()
+        tops.append(top)
         prediction[pset.parser_name] = [(tid, p) for tid, p in pset.pvalues.items()
-                                        if p >= cfg.epsilon]
-    max_p = max(pset.max_p() for pset in psets)
-    label = ANOMALY if max_p < cfg.epsilon else NORMAL
+                                        if p >= eps] if top >= eps else []
+    max_p = max(tops)
+    label = ANOMALY if max_p < eps else NORMAL
     return Verdict(line_id=line_id, label=label, prediction_set=prediction,
                    max_p=max_p)
 
@@ -76,17 +81,22 @@ def detect_batch(models: list[CalibrationModel], records,
         shared = decided.get(rec.tokens)
         if shared is None:
             try:
-                shared = decide(pvalue_sets_for(models, rec), cfg)
+                verdict = decide(pvalue_sets_for(models, rec), cfg, rec.line_id)
             except Exception as exc:  # per-record error channel
-                verdicts.append(Verdict(line_id=rec.line_id, label=ANOMALY,
-                                        prediction_set={}, max_p=0.0,
-                                        error=str(exc)))
-                continue
-            decided[rec.tokens] = shared
+                verdict = Verdict(line_id=rec.line_id, label=ANOMALY,
+                                  prediction_set={}, max_p=0.0, error=str(exc))
+            else:
+                decided[rec.tokens] = verdict
+            verdicts.append(verdict)
+            continue
         verdicts.append(Verdict(line_id=rec.line_id, label=shared.label,
                                 prediction_set=shared.prediction_set,
                                 max_p=shared.max_p))
     return verdicts
+
+
+# the encoder ``json.dumps`` builds on each call for these arguments
+_ALARM_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def render_alarm_line(verdict: Verdict) -> str:
@@ -100,7 +110,7 @@ def render_alarm_line(verdict: Verdict) -> str:
     }
     if verdict.error is not None:
         doc["error"] = verdict.error
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _ALARM_JSON.encode(doc)
 
 
 _ALARM_HEAD = '{"label":"anomaly","line_id":'

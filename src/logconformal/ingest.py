@@ -10,13 +10,14 @@ file of hash-chained entries so that any retroactive edit is detectable.
 Chain file layout, per entry: a little-endian 32-bit blob length, then the
 blob = index (64-bit LE) || payload bytes || prev_digest (32 B) ||
 entry_digest (32 B). The entry digest is SHA-256 over index || SHA-256(payload)
-|| prev_digest; the genesis entry links to 32 zero bytes.
+|| prev_digest; the genesis entry links to 32 zero bytes. Only the chain code
+imports ``hashlib``: it loads OpenSSL, which a process that never opens a
+chain does without.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
 import json
 import re
@@ -252,9 +253,11 @@ def _record_payload(record: LogRecord) -> bytes:
                       record.line_id, _tokens_json(record.tokens))).encode("ascii")
 
 
-def _entry_digest(index8: bytes, payload_digest: bytes, prev_digest: bytes) -> bytes:
-    """SHA-256 over the packed index, the payload digest and the previous digest."""
-    return hashlib.sha256(index8 + payload_digest + prev_digest).digest()
+def _entry_digest(sha256, index8: bytes, payload_digest: bytes,
+                  prev_digest: bytes) -> bytes:
+    """``sha256`` over the packed index, the payload digest and the previous
+    digest."""
+    return sha256(index8 + payload_digest + prev_digest).digest()
 
 
 class ChainStore:
@@ -266,6 +269,8 @@ class ChainStore:
     """
 
     def __init__(self, path):
+        from hashlib import sha256
+        self._sha256 = sha256
         self.path = Path(path)
         self._next_index = 0
         self._prev_digest = GENESIS_DIGEST
@@ -305,8 +310,8 @@ class ChainStore:
         prev = self._prev_digest
         index8 = _u64(index)
         payload = _record_payload(record)
-        payload_digest = hashlib.sha256(payload).digest()
-        entry_digest = _entry_digest(index8, payload_digest, prev)
+        payload_digest = self._sha256(payload).digest()
+        entry_digest = _entry_digest(self._sha256, index8, payload_digest, prev)
         # length field: the 8-byte index, the payload and the two 32-byte digests
         frame = b"".join((_u32(len(payload) + 72), index8, payload, prev, entry_digest))
         self._failed = index  # until the whole frame is written
@@ -353,11 +358,12 @@ def _frames(data: bytes):
 
 def _scan_chain(data: bytes) -> tuple[VerificationReport, bytes]:
     """Verify a whole chain file's bytes; also return the last good digest."""
+    from hashlib import sha256
     index = 0
     prev = GENESIS_DIGEST
     end = 0
     for end, stored_index, payload, prev_digest, entry_digest in _frames(data):
-        expected = _entry_digest(_u64(stored_index), hashlib.sha256(payload).digest(),
+        expected = _entry_digest(sha256, _u64(stored_index), sha256(payload).digest(),
                                  prev_digest)
         if stored_index != index or prev_digest != prev or entry_digest != expected:
             return VerificationReport(False, index, index), prev

@@ -112,12 +112,13 @@ def weighted_score(template, record, params: ScoreParams | None = None) -> float
 def nearest(ts: TemplateSet, tokens) -> tuple[str, float]:
     """Id and score of the template of ``ts`` nearest to ``tokens``.
 
-    Only a positional match scores 0, so the DP runs only when no template
-    matches. Ties go to the smaller id compared as a string (``"T10" < "T2"``).
+    Only a positional match scores 0, and only a template of the record's
+    length can match, so the DP runs only when none of those matches. Ties
+    go to the smaller id compared as a string (``"T10" < "T2"``).
     """
     if not ts.templates:
         raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
-    matching = [t.template_id for t in ts.templates if t.matches(tokens)]
+    matching = [t.template_id for t in ts.of_length(len(tokens)) if t.matches(tokens)]
     if matching:
         return min(matching), 0.0
     score, best_id = min((weighted_score(t.tokens, tokens), t.template_id)

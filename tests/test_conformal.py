@@ -189,6 +189,50 @@ class TestPruningMatchesDP:
                     for t in model.template_set.templates}
         assert pvalues_for(model, rec).pvalues == expected
 
+    @given(_TEMPLATES.flatmap(lambda ts: st.tuples(
+        st.just(ts), st.integers(min_value=1, max_value=len(ts)))), _RECORD)
+    @settings(max_examples=200, deadline=None)
+    def test_appended_templates_are_seen(self, split, tokens):
+        """The length index and the reservoir classes a first call builds
+        take in the templates appended after it (none when ``first`` is the
+        whole list), and the p-values stay keyed in fit order."""
+        templates, first = split
+        model = _dp_model(templates[:first])
+        ts, rec = model.template_set, make_record(1, tokens)
+        pvalues_for(model, rec)
+        nonconformity.nearest(ts, rec.tokens)
+        for tid, tmpl_tokens, scores in templates[first:]:
+            ts.templates.append(EventTemplate(template_id=tid, tokens=tuple(tmpl_tokens)))
+            model.calib[tid] = sorted(scores)
+        got = pvalues_for(model, rec).pvalues
+        expected = {t.template_id: pvalue(model, t.template_id,
+                                          weighted_score(t.tokens, rec.tokens))
+                    for t in ts.templates}
+        assert got == expected
+        assert list(got) == list(expected)
+        assert nonconformity.nearest(ts, rec.tokens) == dp_nearest(ts, rec)
+
+    @given(_TEMPLATES, _RECORD)
+    @example(_TIED, ["a", "b"])
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sees_only_templates_of_the_records_length(self, templates, tokens):
+        calls = []
+        matches = EventTemplate.matches
+
+        def counted(self, tokens):
+            calls.append((len(self.tokens), len(tokens)))
+            return matches(self, tokens)
+        model = _dp_model(templates)
+        ts, rec = model.template_set, make_record(1, tokens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(EventTemplate, "matches", counted)
+            pvalues_for(model, rec)
+            calibrate(ts, [rec])
+            match_record(ts, rec)
+        assert all(m == n for m, n in calls)
+        if any(len(t.tokens) == len(tokens) for t in ts.templates):
+            assert calls
+
     @given(_TEMPLATES, _RECORD)
     @example(_TIED, ["a", "b"])
     @settings(max_examples=300, deadline=None)
@@ -304,6 +348,12 @@ def _corrupt(doc, how):
     elif how == "no templates":
         model_doc["templates"], model_doc["calibration"] = [], {}
         model_doc["total_count"] = 0
+    elif how == "version true":
+        doc["bundle_version"] = True
+    elif how == "version float":
+        doc["bundle_version"] = 1.0
+    elif how == "float total_count":
+        model_doc["total_count"] = float(model_doc["total_count"])
 
 
 class TestBundle:
@@ -373,7 +423,9 @@ class TestBundle:
                                      "no models", "unknown parser",
                                      "bad param type", "params not an object",
                                      "repeated parser", "string tokens",
-                                     "string support", "no templates"])
+                                     "string support", "no templates",
+                                     "version true", "version float",
+                                     "float total_count"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))

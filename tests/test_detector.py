@@ -21,6 +21,29 @@ def _pset(name, pvalues):
     return PValueSet(parser_name=name, pvalues=dict(pvalues))
 
 
+@st.composite
+def _decisions(draw):
+    """(parser name, p-value map) pairs and an epsilon; a p-value may equal
+    epsilon, and a map may be empty."""
+    eps = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                         st.floats(min_value=0.0, max_value=1.0)))
+    pvalue = st.one_of(st.just(eps), st.sampled_from([0.0, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0))
+    names = draw(st.lists(st.sampled_from(["drain", "spell", "iplom"]),
+                          min_size=1, max_size=3, unique=True))
+    return [(name, draw(st.dictionaries(st.sampled_from(["T1", "T2", "T10"]),
+                                        pvalue, max_size=3)))
+            for name in names], eps
+
+
+def _filter_every_parser(psets, eps):
+    """Reference decision: every parser's p-values filtered at epsilon."""
+    prediction = {ps.parser_name: [(tid, p) for tid, p in ps.pvalues.items() if p >= eps]
+                  for ps in psets}
+    max_p = max(max(ps.pvalues.values(), default=0.0) for ps in psets)
+    return prediction, max_p, ANOMALY if max_p < eps else NORMAL
+
+
 class TestDecide:
     def test_all_low_pvalues_alarm(self):
         psets = [_pset(n, {"T1": 0.05, "T2": 0.19}) for n in
@@ -91,6 +114,21 @@ class TestDecide:
         psets = [_pset(f"p{i}", pv) for i, pv in enumerate(pvalue_maps)]
         v = decide(psets, DetectorConfig(epsilon=eps))
         assert (v.label == ANOMALY) == all(ps.max_p() < eps for ps in psets)
+
+    @given(_decisions())
+    @example(([("drain", {})], 0.0))
+    @example(([("drain", {}), ("spell", {"T1": 0.0})], 1.0))
+    @example(([("drain", {"T1": 1.0, "T2": 0.5})], 1.0))
+    @example(([("drain", {"T1": 0.1, "T2": 0.27}), ("spell", {})], 0.27))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_filtering_every_parser(self, case):
+        """decide skips the filter of a parser whose largest p-value is below
+        epsilon; the result equals filtering every parser."""
+        maps, eps = case
+        psets = [_pset(name, pvalues) for name, pvalues in maps]
+        v = decide(psets, DetectorConfig(epsilon=eps), 7)
+        assert (v.prediction_set, v.max_p, v.label) == _filter_every_parser(psets, eps)
+        assert v.line_id == 7
 
 
 def _trained_models():

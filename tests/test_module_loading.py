@@ -1,8 +1,8 @@
-"""Each subcommand loads only the package modules it runs, and the package
-root still exports every public name.
+"""Each subcommand loads only the package modules it runs, and ``hashlib``
+only when it opens a chain; the package root still exports every public name.
 
-A command runs in a child process, which reports the ``logconformal.*``
-modules it has loaded when ``main`` returns.
+A command runs in a child process, which reports the modules it has loaded
+when ``main`` returns.
 """
 
 import argparse
@@ -30,19 +30,19 @@ ROOT_EXPORTS = {
 }
 MINERS = {f"logconformal.parsers.{name}" for name in ("drain", "spell", "iplom",
                                                       "logcluster")}
+HASHLIB = {"hashlib", "_hashlib"}  # _hashlib loads OpenSSL's libcrypto
 
 _PROBE = """
 import json, sys
 from logconformal.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "logconformal")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
 def _modules_after(*argv) -> set[str]:
-    """Run ``main(argv)`` in a fresh interpreter; the package modules it
-    loaded. The command must succeed."""
+    """Run ``main(argv)`` in a fresh interpreter; the modules it loaded. The
+    command must succeed."""
     pkg_dir = str(Path(logconformal.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(p for p in (pkg_dir, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
@@ -67,7 +67,8 @@ def trained(tmp_path_factory):
 def test_verify_chain_loads_only_cli_errors_and_ingest(tmp_path):
     store = tmp_path / "chain.bin"
     store.write_bytes(b"")
-    assert _modules_after("verify-chain", "--store", str(store)) == {
+    modules = _modules_after("verify-chain", "--store", str(store))
+    assert {m for m in modules if m.split(".")[0] == "logconformal"} == {
         "logconformal", "logconformal.cli", "logconformal.errors", "logconformal.ingest"}
 
 
@@ -78,6 +79,7 @@ def test_detect_loads_no_generator_and_no_miner(trained):
     assert "logconformal.detector" in modules
     assert "logconformal.evalharness" not in modules
     assert not modules & MINERS
+    assert not modules & HASHLIB
 
 
 def test_train_loads_no_generator_and_no_detector(trained, tmp_path):
@@ -86,6 +88,28 @@ def test_train_loads_no_generator_and_no_detector(trained, tmp_path):
     assert MINERS <= modules
     assert "logconformal.evalharness" not in modules
     assert "logconformal.detector" not in modules
+    assert not modules & HASHLIB
+
+
+def test_train_with_a_chain_loads_hashlib(trained, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"paths": {"chain": str(tmp_path / "audit.chain")}}),
+                      encoding="utf-8")
+    modules = _modules_after("train", "--config", str(config),
+                             "--input", str(trained / "corpus" / "train.log"),
+                             "--model", str(tmp_path / "m.bundle"))
+    assert HASHLIB <= modules
+
+
+def test_eval_loads_no_hashlib(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 3, "synth": {"n_train": 300, "n_test": 30,
+                                                       "n_anomalies": 5}}),
+                      encoding="utf-8")
+    modules = _modules_after("eval", "--config", str(config), "--grid", "0.27",
+                             "--out", str(tmp_path / "sweep.csv"))
+    assert "logconformal.evalharness" in modules
+    assert not modules & HASHLIB
 
 
 @pytest.mark.parametrize("module", sorted(ROOT_EXPORTS))
