@@ -112,16 +112,14 @@ def _required(cfg: dict, key: str, given, what: str, flag: str, exists=True) -> 
 
 
 def _schema_from_config(cfg: dict, format_flag: str | None):
-    """The header schema and its bundle document: the iiot profile's, unless
-    ``--format`` or the config names a format template or mask rules; a part
-    left unnamed then defaults to the profile's template and to no mask rules."""
+    """The compiled header schema: the iiot profile's, unless ``--format`` or
+    the config names a format template or mask rules; a part left unnamed then
+    defaults to the profile's template and to no mask rules."""
     default_fmt, default_rules = PROFILE_FORMATS["iiot"]
     fmt = _setting(cfg, "format_template", format_flag, check=_schema_part)
     rules = _setting(cfg, "mask_rules", default=default_rules if fmt is None else [],
                      check=_schema_part)
-    fmt = default_fmt if fmt is None else fmt
-    schema = compile_schema(fmt, rules)  # checks that each rule is a pair
-    return schema, {"format_template": fmt, "mask_rules": [list(r) for r in rules]}
+    return compile_schema(default_fmt if fmt is None else fmt, rules)
 
 
 def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
@@ -185,7 +183,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     from . import conformal
     cfg = _load_config(args.config)
-    schema, schema_doc = _schema_from_config(cfg, args.format)
+    schema = _schema_from_config(cfg, args.format)
     input_path = _required(cfg, "train", args.input, "training input", "input")
     chain_path = _setting(cfg, "paths.chain", check=_output)
     model_path = _setting(cfg, "paths.model", args.model, "model.bundle", _output)
@@ -198,7 +196,7 @@ def cmd_train(args) -> int:
     # records reach the store only once the bundle is written
     with nullcontext() if chain_path is None else ChainStore(chain_path) as store:
         models = _train_models(selection, records)
-        conformal.save_bundle(models, schema_doc, model_path)
+        conformal.save_bundle(models, schema, model_path)
         if store is not None:
             for rec in records:
                 store.append(rec)
@@ -217,9 +215,7 @@ def cmd_detect(args) -> int:
     input_path = _required(cfg, "test", args.input, "detection input", "input")
     out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _output)
 
-    models, schema_doc = conformal.load_bundle(model_path)
-    schema = compile_schema(schema_doc["format_template"],
-                            [tuple(r) for r in schema_doc.get("mask_rules", [])])
+    models, schema = conformal.load_bundle(model_path)
     records, skipped = read_log_file(input_path, schema)
     if skipped:
         print(f"warning: skipped {skipped} unparsable lines", file=sys.stderr)
@@ -254,7 +250,7 @@ def cmd_eval(args) -> int:
             raise _ConfigError(f"--{flag} does not apply to eval on a "
                                f"{'corpus from files' if all(sources) else 'synthetic corpus'}")
     if all(sources):
-        schema, _ = _schema_from_config(cfg, args.format)
+        schema = _schema_from_config(cfg, args.format)
         corpus = evalharness.load_corpus(*sources, schema)
     else:
         corpus = _synth_corpus(cfg, args)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, InvalidSpec,
                      MalformedFormat, UnknownParser, UnknownTemplate)
-from .ingest import compile_schema
+from .ingest import HeaderSchema, compile_schema
 from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
 from .templates import EventTemplate, TemplateSet
@@ -170,8 +170,8 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     The parser name and params must be ones ``train`` accepts, each
     template a list of string tokens with an integer support, and
     ``total_count`` an integer. The pruned p-values rely on each reservoir
-    being sorted, finite and non-negative, and on a reservoir for every
-    template.
+    holding sorted, finite, non-negative numbers (not JSON booleans), and on
+    a reservoir for every template.
     """
     name = doc["parser_name"]
     try:
@@ -194,10 +194,10 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     if len(set(ids)) != len(ids) or set(ids) != set(calib):
         raise ValueError(f"{name}: calibration keys differ from the template ids")
     for tid, scores in calib.items():
-        if not all(map(math.isfinite, scores)) or scores != sorted(scores) \
-                or (scores and scores[0] < 0):
-            raise ValueError(f"{name}: reservoir {tid} is not sorted, finite "
-                             f"and non-negative")
+        if bool in set(map(type, scores)) or not all(map(math.isfinite, scores)) \
+                or scores != sorted(scores) or (scores and scores[0] < 0):
+            raise ValueError(f"{name}: reservoir {tid} must hold sorted, finite, "
+                             f"non-negative numbers")
     total = doc["total_count"]
     if not _is_int(total):
         raise ValueError(f"{name}: total_count must be an integer, got {total!r}")
@@ -207,21 +207,22 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
                             total_count=total)
 
 
-def bundle_to_bytes(models: list[CalibrationModel], schema_doc: dict) -> bytes:
+def bundle_to_bytes(models: list[CalibrationModel], schema: HeaderSchema) -> bytes:
     doc = {
         "bundle_version": BUNDLE_VERSION,
-        "schema": schema_doc,
+        "schema": {"format_template": schema.format_template,
+                   "mask_rules": [[p.pattern, repl] for p, repl in schema.mask_rules]},
         "models": [_model_to_doc(m) for m in models],
     }
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def save_bundle(models: list[CalibrationModel], schema_doc: dict, path) -> None:
+def save_bundle(models: list[CalibrationModel], schema: HeaderSchema, path) -> None:
     """Atomic write: the bundle appears complete or not at all, and a failed
     write or rename leaves no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    data = bundle_to_bytes(models, schema_doc)
+    data = bundle_to_bytes(models, schema)
     try:
         tmp.write_bytes(data)
         tmp.replace(path)
@@ -231,11 +232,12 @@ def save_bundle(models: list[CalibrationModel], schema_doc: dict, path) -> None:
         raise
 
 
-def load_bundle(path) -> tuple[list[CalibrationModel], dict]:
-    """Load a bundle; raises :class:`BundleError` when unusable.
+def load_bundle(path) -> tuple[list[CalibrationModel], HeaderSchema]:
+    """Load a bundle and its compiled header schema; raises
+    :class:`BundleError` when unusable.
 
-    The stored header schema is compiled here, so a bad format template or
-    mask rule is reported as a bundle fault.
+    The stored schema is compiled here, so a bad format template or mask
+    rule is reported as a bundle fault.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -252,9 +254,9 @@ def load_bundle(path) -> tuple[list[CalibrationModel], dict]:
         if len(set(names)) != len(names):
             raise ValueError(f"repeated parser name in {names}")
         schema_doc = doc["schema"]
-        compile_schema(schema_doc["format_template"],
-                       [tuple(r) for r in schema_doc.get("mask_rules", [])])
+        schema = compile_schema(schema_doc["format_template"],
+                                schema_doc.get("mask_rules", []))
     except (AttributeError, KeyError, TypeError, ValueError,
             MalformedFormat) as exc:
         raise BundleError(f"malformed bundle {path}: {exc}") from exc
-    return models, schema_doc
+    return models, schema

@@ -18,7 +18,6 @@ chain does without.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import re
 import struct
@@ -63,23 +62,6 @@ class LogRecord(NamedTuple):
     tokens: tuple[str, ...]
 
 
-def _literal_to_regex(part: str) -> str:
-    """Escape literal separator text, allowing runs of whitespace to flex."""
-    if not part:
-        return ""
-    chunks = part.split()
-    if not chunks:
-        return r"\s+"
-    out = [r"\s+"] if part[0].isspace() else []
-    for i, chunk in enumerate(chunks):
-        if i:
-            out.append(r"\s+")
-        out.append(re.escape(chunk))
-    if part[-1].isspace():
-        out.append(r"\s+")
-    return "".join(out)
-
-
 def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
     """Compile a ``<Field> ... <Content>`` format template into a schema.
 
@@ -97,19 +79,17 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
     if any(not n.strip() for n in names):
         raise MalformedFormat("empty field name")
 
-    parts = _FIELD.split(format_template)
-    regex = io.StringIO()
-    regex.write("^")
-    for k, part in enumerate(parts):
-        if k % 2 == 0:  # literal separator text
-            regex.write(_literal_to_regex(part))
+    regex = ["^"]
+    for k, part in enumerate(_FIELD.split(format_template)):
+        if k % 2 == 0:  # literal separator text; each whitespace run flexes
+            regex.append(r"\s+".join(map(re.escape, re.split(r"\s+", part))))
         elif part == "Content":
-            regex.write("(?P<Content>.*)")
+            regex.append("(?P<Content>.*)")
         else:
-            regex.write(f"(?P<{part}>\\S+)")
-    regex.write("$")
+            regex.append(f"(?P<{part}>\\S+)")
+    regex.append("$")
     try:
-        pattern = re.compile(regex.getvalue())
+        pattern = re.compile("".join(regex))
     except re.error as exc:
         raise MalformedFormat(f"bad field name in {format_template!r}: {exc}") from exc
     compiled_masks = []

@@ -2,13 +2,15 @@
 
 Four miners ship: drain, spell, iplom and logcluster. Each is a black box
 with one contract: ``fit_<name>(records, **params)`` in module ``<name>``
-takes tokenized records and the fields of its params dataclass as required
-keywords (their defaults live only on that class), and returns
-``[(template_tokens, member_line_ids), ...]`` in creation order, every
-record in exactly one group. ``fit`` is the only code that turns those
-groups into a :class:`~logconformal.templates.TemplateSet`; its templates
-all use the shared literal-or-wildcard token shape, so one scoring function
-serves them all.
+takes a non-empty list of records, each with at least one token (``fit``
+checks both, so no miner handles an empty sequence), and the fields of its
+params dataclass as required keywords (their defaults live only on that
+class). It returns ``[(template_tokens, member_line_ids), ...]`` in
+creation order, every record in exactly one group. ``fit`` is the only
+code that turns those groups into a
+:class:`~logconformal.templates.TemplateSet`; its templates all use the
+shared literal-or-wildcard token shape, so one scoring function serves
+them all.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class DrainTree:
                 params += 1
             elif t == o:
                 same += 1
-        return (same / len(template) if template else 1.0), params
+        return same / len(template), params
 
     def _search(self, tokens) -> _Cluster | None:
         node = self.root.children.get(str(len(tokens)))

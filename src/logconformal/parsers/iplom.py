@@ -68,13 +68,11 @@ def _split_by_position(rows, pos):
 
 def _goodness(rows) -> float:
     distinct = _distinct_per_position(rows)
-    if not distinct:
-        return 1.0
     return sum(1 for d in distinct if len(d) == 1) / len(distinct)
 
 
 def _step2(rows, upper_bound):
-    if len(rows) <= 1 or not rows[0][0]:
+    if len(rows) <= 1:
         return [rows]
     if _goodness([r[0] for r in rows]) >= upper_bound:
         return [rows]
@@ -135,11 +133,8 @@ def fit_iplom(records, *, partition_support_threshold: float,
     for part in final:
         rows = [r[0] for r in part]
         ids = [i for r in part for i in r[1]]
-        if rows[0]:
-            distinct = _distinct_per_position(rows)
-            template = [next(iter(d)) if len(d) == 1 else WILDCARD for d in distinct]
-        else:
-            template = []
+        template = [next(iter(d)) if len(d) == 1 else WILDCARD
+                    for d in _distinct_per_position(rows)]
         described.append((template, ids))
     described.sort(key=lambda item: min(item[1]))
     return described

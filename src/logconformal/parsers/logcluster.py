@@ -60,7 +60,5 @@ def fit_logcluster(records, *, min_support: int):
             template.append(word)
             if has_gap:
                 template.append(WILDCARD)
-        if not template:
-            template.append(WILDCARD)
         out.append((template, cluster["ids"]))
     return out

@@ -53,7 +53,7 @@ def fit_spell(records, *, lcs_threshold: float):
             common = lcs_length(literals, tokens)
             if common > best_len:
                 best, best_len = cand, common
-        if best is not None and tokens and best_len >= lcs_threshold * len(tokens):
+        if best is not None and best_len >= lcs_threshold * len(tokens):
             best.template = [t if t == o or t == WILDCARD else WILDCARD
                              for t, o in zip(best.template, tokens)]
             group = best

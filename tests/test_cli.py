@@ -14,6 +14,7 @@ from logconformal import cli, conformal, detector, evalharness
 from logconformal.cli import main
 from logconformal.detector import ANOMALY, DetectorConfig, render_alarm_line
 from logconformal.evalharness import IIOT_PROFILE
+from logconformal.ingest import compile_schema
 from logconformal.templates import WILDCARD
 
 from conftest import graded_models, make_record
@@ -265,6 +266,34 @@ class TestDetect:
         assert main(["detect", "--config", str(cfg),
                      "--input", str(tmp_path / "corpus" / "test.log")]) == 2
 
+    def test_unparsable_line_is_skipped_and_ids_kept(self, tmp_path, capsys):
+        bundle, log, out = tmp_path / "m.bundle", tmp_path / "in.log", tmp_path / "a.jsonl"
+        conformal.save_bundle(graded_models(), compile_schema("<SysId> <Content>"), bundle)
+        # the second line has no header field, so the schema cannot split it
+        log.write_text("dev1 totally unrelated\nunrelated\ndev2 totally unrelated\n",
+                       encoding="utf-8")
+        assert main(["detect", "--model", str(bundle), "--input", str(log),
+                     "--epsilon", "0.3", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: skipped 1 unparsable lines" in captured.err
+        assert "processed=2 " in captured.out
+        assert [json.loads(line)["line_id"]
+                for line in out.read_text(encoding="utf-8").splitlines()] == [1, 3]
+
+    def test_header_schema_is_compiled_once(self, trained, monkeypatch):
+        tmp_path, cfg, bundle = trained
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return compile_schema(*args)
+        for module in (cli, conformal, evalharness):  # each module that imports it
+            monkeypatch.setattr(module, "compile_schema", counting)
+        assert main(["detect", "--config", str(cfg), "--model", str(bundle),
+                     "--input", str(tmp_path / "corpus" / "test.log"),
+                     "--out", str(tmp_path / "alarms.jsonl")]) == 0
+        assert calls == [IIOT_PROFILE.format_template]
+
 
 class TestAlarmSplice:
     """detect renders each alarmed token sequence once and splices every
@@ -283,8 +312,7 @@ class TestAlarmSplice:
     @pytest.fixture(scope="class")
     def bundle(self, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("splice")
-        conformal.save_bundle(graded_models(),
-                              {"format_template": "<Content>", "mask_rules": []},
+        conformal.save_bundle(graded_models(), compile_schema("<Content>"),
                               tmp_path / "m.bundle")
         (tmp_path / "in.log").touch()  # detect checks that its input exists
         return tmp_path

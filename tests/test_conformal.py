@@ -13,6 +13,7 @@ from logconformal.conformal import (CalibrationModel, bundle_to_bytes,
                                     pvalues_for, save_bundle)
 from logconformal.errors import (BundleError, EmptyCorpus, EmptyTemplateSet,
                                  UnknownTemplate)
+from logconformal.ingest import compile_schema
 from logconformal.nonconformity import weighted_score
 from logconformal.parsers import fit, match_record
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
@@ -354,6 +355,9 @@ def _corrupt(doc, how):
         doc["bundle_version"] = 1.0
     elif how == "float total_count":
         model_doc["total_count"] = float(model_doc["total_count"])
+    elif how == "bool score":  # sorts, is finite and non-negative, but no number
+        scores = _largest(model_doc)
+        scores[:] = [False] * (len(scores) - 1) + [True]
 
 
 class TestBundle:
@@ -367,11 +371,12 @@ class TestBundle:
 
     def test_round_trip_bit_exact(self, tmp_path):
         models = self._models()
-        schema_doc = {"format_template": "<Content>", "mask_rules": [["\\d+", "<*>"]]}
+        fmt, rules = "<Content>", [("\\d+", "<*>")]
         path = tmp_path / "m.bundle"
-        save_bundle(models, schema_doc, path)
+        save_bundle(models, compile_schema(fmt, rules), path)
         loaded, loaded_schema = load_bundle(path)
-        assert loaded_schema == schema_doc
+        assert json.loads(path.read_bytes())["schema"] == {
+            "format_template": fmt, "mask_rules": [list(r) for r in rules]}
         assert bundle_to_bytes(loaded, loaded_schema) == path.read_bytes()
         assert [m.calib for m in loaded] == [m.calib for m in models]
 
@@ -381,8 +386,7 @@ class TestBundle:
             ts.templates.append(EventTemplate(template_id=tid, tokens=(tid,)))
         model = CalibrationModel(parser_name="drain", template_set=ts,
                                  calib={"T10": [0.0], "T2": [0.0, 1.0]}, total_count=3)
-        data = bundle_to_bytes([model], {"format_template": "<Content>",
-                                         "mask_rules": []})
+        data = bundle_to_bytes([model], compile_schema("<Content>"))
         stored = json.loads(data)["models"][0]["templates"]
         assert [tid for tid, _, _ in stored] == ["T10", "T2"]
         path = tmp_path / "m.bundle"
@@ -393,10 +397,10 @@ class TestBundle:
 
     def test_save_is_deterministic(self, tmp_path):
         models = self._models()
-        doc = {"format_template": "<Content>", "mask_rules": []}
+        schema = compile_schema("<Content>")
         p1, p2 = tmp_path / "a.bundle", tmp_path / "b.bundle"
-        save_bundle(models, doc, p1)
-        save_bundle(models, doc, p2)
+        save_bundle(models, schema, p1)
+        save_bundle(models, schema, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_corrupt_bundle_rejected(self, tmp_path):
@@ -425,10 +429,10 @@ class TestBundle:
                                      "repeated parser", "string tokens",
                                      "string support", "no templates",
                                      "version true", "version float",
-                                     "float total_count"])
+                                     "float total_count", "bool score"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
-        doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))
+        doc = json.loads(bundle_to_bytes(models, compile_schema("<Content>")))
         _corrupt(doc, how)
         path = tmp_path / "bad.bundle"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -441,7 +445,7 @@ class TestBundle:
 
     def test_signed_zero_reservoir_loads(self, tmp_path, monkeypatch):
         models = self._models()
-        doc = json.loads(bundle_to_bytes(models, {"format_template": "<Content>"}))
+        doc = json.loads(bundle_to_bytes(models, compile_schema("<Content>")))
         _largest(doc["models"][0])[0] = -0.0
         path = tmp_path / "zero.bundle"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -5,7 +5,7 @@ import re
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logconformal.errors import AppendFailed, MalformedFormat, UnparsableLine
@@ -18,6 +18,40 @@ import reference_chain
 
 IIOT_FORMAT = "<Date> <Time> <SysId> <Eth> <Content>"
 HDFS_FORMAT = "<Date> <Time> <Pid> <Level> <Component>: <Content>"
+
+
+# ASCII and Unicode whitespace, regex metacharacters and letters; never
+# ``<`` or ``>``, so a separator cannot open a field marker
+_SEPARATORS = st.text(
+    st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspace()])
+    | st.sampled_from(list(".^$*+?{}[]\\|()-:#&~")) | st.sampled_from(list("abXyé")),
+    max_size=12)
+
+
+def _literal_to_regex(part: str) -> str:
+    """The separator builder ``compile_schema`` used before one ``re.split``
+    expression replaced it: escape literal text, let whitespace runs flex."""
+    if not part:
+        return ""
+    chunks = part.split()
+    if not chunks:
+        return r"\s+"
+    out = [r"\s+"] if part[0].isspace() else []
+    for i, chunk in enumerate(chunks):
+        if i:
+            out.append(r"\s+")
+        out.append(re.escape(chunk))
+    if part[-1].isspace():
+        out.append(r"\s+")
+    return "".join(out)
+
+
+def _reference_pattern(fmt: str) -> str:
+    parts = re.split(r"<([^<>]+)>", fmt)
+    return "^" + "".join(
+        _literal_to_regex(part) if k % 2 == 0
+        else "(?P<Content>.*)" if part == "Content" else f"(?P<{part}>\\S+)"
+        for k, part in enumerate(parts)) + "$"
 
 
 class TestCompileSchema:
@@ -47,6 +81,7 @@ class TestCompileSchema:
         "<Content> <Date>",              # Content not last
         "<Date> <Date> <Content>",       # duplicate
         "<Sys-Id> <Content>",            # not a regex group name
+        "< > <Content>",                 # empty field name
     ])
     def test_malformed(self, bad):
         with pytest.raises(MalformedFormat):
@@ -61,6 +96,15 @@ class TestCompileSchema:
     def test_malformed_mask_rule(self, rule):
         with pytest.raises(MalformedFormat):
             compile_schema("<Content>", [rule])
+
+    @given(st.lists(st.tuples(_SEPARATORS, st.sampled_from(["Date", "Sys", "Id_2"])),
+                    max_size=3, unique_by=lambda item: item[1]),
+           _SEPARATORS, _SEPARATORS)
+    @settings(max_examples=300, deadline=None)
+    @example([("", "Date"), (" at \t", "Sys")], " on\u3000host ", " ends  here ")
+    def test_pattern_equals_the_reference_builder(self, fields, last, tail):
+        fmt = "".join(f"{sep}<{name}>" for sep, name in fields) + f"{last}<Content>{tail}"
+        assert compile_schema(fmt).pattern.pattern == _reference_pattern(fmt)
 
 
 class TestPreprocess:

@@ -13,6 +13,7 @@ import pytest
 
 from logconformal import cli, conformal, detector, evalharness, nonconformity, parsers
 from logconformal.detector import DetectorConfig
+from logconformal.ingest import compile_schema
 
 from conftest import graded_models, make_record
 
@@ -57,8 +58,7 @@ def test_detect_renders_through_the_traced_attribute(tracing, tmp_path):
     # detect renders one line per alarmed token sequence and splices the
     # rest; that render must still reach the tracer's detector.render
     bundle, log, out = tmp_path / "m.bundle", tmp_path / "in.log", tmp_path / "a.jsonl"
-    conformal.save_bundle(graded_models(),
-                          {"format_template": "<Content>", "mask_rules": []}, bundle)
+    conformal.save_bundle(graded_models(), compile_schema("<Content>"), bundle)
     log.write_text("totally unrelated\npump ok 1\ntotally unrelated\n"
                    "alarm x\ntotally unrelated\n", encoding="utf-8")
     tr = tracing.Tracer()
