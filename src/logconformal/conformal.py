@@ -170,8 +170,9 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     The parser name and params must be ones ``train`` accepts, each
     template a list of string tokens with an integer support, and
     ``total_count`` an integer. The pruned p-values rely on each reservoir
-    holding sorted, finite, non-negative numbers (not JSON booleans), and on
-    a reservoir for every template.
+    being a list of sorted, finite, non-negative numbers (not JSON
+    booleans), and on a reservoir for every template. The model keeps the
+    document's calibration object and lists.
     """
     name = doc["parser_name"]
     try:
@@ -187,17 +188,18 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
         ts.templates.append(EventTemplate(template_id=template_id,
                                           tokens=tuple(tokens),
                                           support=support))
-    calib = {tid: list(scores) for tid, scores in doc["calibration"].items()}
+    calib = doc["calibration"]
     ids = [t.template_id for t in ts.templates]
     if not ids:
         raise ValueError(f"{name}: no templates")
     if len(set(ids)) != len(ids) or set(ids) != set(calib):
         raise ValueError(f"{name}: calibration keys differ from the template ids")
     for tid, scores in calib.items():
-        if bool in set(map(type, scores)) or not all(map(math.isfinite, scores)) \
+        if not isinstance(scores, list) or bool in set(map(type, scores)) \
+                or not all(map(math.isfinite, scores)) \
                 or scores != sorted(scores) or (scores and scores[0] < 0):
-            raise ValueError(f"{name}: reservoir {tid} must hold sorted, finite, "
-                             f"non-negative numbers")
+            raise ValueError(f"{name}: reservoir {tid} must be a list of sorted, "
+                             f"finite, non-negative numbers")
     total = doc["total_count"]
     if not _is_int(total):
         raise ValueError(f"{name}: total_count must be an integer, got {total!r}")

@@ -66,8 +66,8 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
     """Compile a ``<Field> ... <Content>`` format template into a schema.
 
     The last field must be ``<Content>``; field names must be unique. Mask
-    rules are (pattern, replacement) pairs applied to content, in order,
-    before tokenization.
+    rules are (pattern, replacement) pairs of strings, as lists or tuples,
+    applied to content, in order, before tokenization.
     """
     names = _FIELD.findall(format_template)
     if not names:
@@ -94,11 +94,15 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
         raise MalformedFormat(f"bad field name in {format_template!r}: {exc}") from exc
     compiled_masks = []
     for rule in mask_rules:
+        if not (isinstance(rule, (list, tuple)) and len(rule) == 2
+                and all(isinstance(part, str) for part in rule)):
+            raise MalformedFormat(f"bad mask rule {rule!r}: not a pair of "
+                                  f"pattern and replacement strings")
+        p, repl = rule
         try:
-            p, repl = rule
             pat = re.compile(p)
             pat.sub(repl, "")  # parses the replacement's group references
-        except (re.error, TypeError, ValueError) as exc:
+        except (re.error, OverflowError, IndexError) as exc:
             raise MalformedFormat(f"bad mask rule {rule!r}: {exc}") from exc
         compiled_masks.append((pat, repl))
     return HeaderSchema(format_template=format_template, fields=names,
@@ -138,14 +142,17 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
     ``on_error="raise"`` aborts on the first one. Returns (records, skipped).
 
     Each record equals :func:`preprocess` of its line. The mask rules run
-    once per distinct content, and all records of one token sequence share
-    one tuple. Both maps hold only objects the records hold and live for
-    this call.
+    once per distinct content, and the records share one object per
+    distinct header value, content and token tuple. Both maps hold only
+    objects the records hold and live for this call.
     """
     records: list[LogRecord] = []
     skipped = 0
-    tokens_of: dict[str, tuple[str, ...]] = {}
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # content -> (its first object, its token tuple)
+    memo: dict[str, tuple[str, tuple[str, ...]]] = {}
+    # each header value and token tuple -> its first object
+    shared: dict[str | tuple[str, ...], str | tuple[str, ...]] = {}
+    keep = shared.setdefault
     for line_id, raw in enumerate(lines, 1):
         try:
             headers, content = _split(raw, schema)
@@ -154,11 +161,13 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
                 raise
             skipped += 1
             continue
-        tokens = tokens_of.get(content)
-        if tokens is None:
+        for key, value in headers.items():
+            headers[key] = keep(value, value)
+        known = memo.get(content)
+        if known is None:
             tokens = _mask(content, schema)
-            tokens = tokens_of[content] = shared.setdefault(tokens, tokens)
-        records.append(LogRecord(line_id, headers, content, tokens))
+            known = memo[content] = (content, keep(tokens, tokens))
+        records.append(LogRecord(line_id, headers, *known))
     return records, skipped
 
 

@@ -99,6 +99,8 @@ class TestTrain:
     @pytest.mark.parametrize("override", [
         {"format_template": "<Sys-Id> <Content>"},
         {"format_template": "<Content>", "mask_rules": [["(unclosed", "<*>"]]},
+        {"format_template": "<Content>", "mask_rules": ["ab", {"x": 1, "y": 2}]},
+        {"format_template": "<Content>", "mask_rules": [["a{99999999999}", "<*>"]]},
     ])
     def test_bad_schema_is_config_error(self, tmp_path, override):
         train = tmp_path / "train.log"

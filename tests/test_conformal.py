@@ -358,6 +358,12 @@ def _corrupt(doc, how):
     elif how == "bool score":  # sorts, is finite and non-negative, but no number
         scores = _largest(model_doc)
         scores[:] = [False] * (len(scores) - 1) + [True]
+    elif how == "string mask rule":
+        doc["schema"]["mask_rules"] = ["ab"]
+    elif how in ("string reservoir", "object reservoir"):  # sizes still sum
+        tid = model_doc["templates"][0][0]
+        model_doc["total_count"] -= len(calib[tid])
+        calib[tid] = "" if how == "string reservoir" else {}
 
 
 class TestBundle:
@@ -429,7 +435,9 @@ class TestBundle:
                                      "repeated parser", "string tokens",
                                      "string support", "no templates",
                                      "version true", "version float",
-                                     "float total_count", "bool score"])
+                                     "float total_count", "bool score",
+                                     "string mask rule", "string reservoir",
+                                     "object reservoir"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, compile_schema("<Content>")))

@@ -92,6 +92,10 @@ class TestCompileSchema:
         (r"\d+", r"\9"),                 # replacement names a missing group
         (r"\d+", 5),                     # replacement is not a string
         (r"\d+",),                       # not a (pattern, replacement) pair
+        "ab",                            # a two-character string
+        {"x": 1, "y": 2},                # a two-key object
+        ("a{99999999999}", "<*>"),       # repetition count too large
+        ("a", r"\g<name>"),              # replacement names a missing group
     ])
     def test_malformed_mask_rule(self, rule):
         with pytest.raises(MalformedFormat):
@@ -220,9 +224,11 @@ class TestReadRecordsMemo:
         assert skipped == len(errors)
         for rec in records:
             assert rec.tokens == _masked_by_hand(rec.content, rules)
-        shared = {}
-        for rec in records:
-            assert shared.setdefault(rec.tokens, rec.tokens) is rec.tokens
+        for values in ([rec.tokens for rec in records], [rec.content for rec in records],
+                       [v for rec in records for v in rec.headers.values()]):
+            first = {}
+            for value in values:
+                assert first.setdefault(value, value) is value
 
     def test_rules_apply_in_order(self):
         schema = compile_schema("<SysId> <Content>", MEMO_RULES[:2])
@@ -241,6 +247,44 @@ class TestReadRecordsMemo:
         assert a.tokens == ("retry", "<*>", "of", "<*>")
         assert a.tokens is b.tokens is c.tokens
         assert d.tokens == ("done",)
+
+    @pytest.mark.parametrize("on_error", ["skip", "raise"])
+    def test_one_object_per_header_value_and_content(self, on_error):
+        lines = ["2019-06-01 10:00:00 SYS1 ETH0 pump 7 ok\n",
+                 "2019-06-01 10:00:01 SYS2 ETH0 pump 7 ok\n",
+                 "2019-06-01 10:00:02 SYS1 ETH1 valve 3 shut\n",
+                 "2019-06-01 10:00:00 SYS1 ETH0 pump 7 ok\n"]
+        if on_error == "skip":  # unparsable lines between the parsed ones
+            lines[1:1] = ["garbled\n"]
+            lines[3:3] = ["", "SYS1 only\n"]
+        records, skipped = read_records(lines, compile_schema(IIOT_FORMAT, [(r"\d+", "<*>")]),
+                                        on_error=on_error)
+        assert skipped == (3 if on_error == "skip" else 0)
+        a, b, c, d = records
+        assert a.headers["Date"] is b.headers["Date"] is c.headers["Date"] is d.headers["Date"]
+        assert a.headers["Time"] is d.headers["Time"]
+        assert a.headers["SysId"] is c.headers["SysId"] is d.headers["SysId"]
+        assert a.headers["Eth"] is b.headers["Eth"] is d.headers["Eth"]
+        assert a.content is b.content is d.content
+        assert a.tokens is b.tokens is d.tokens
+        assert c.content == "valve 3 shut"
+
+    def test_calls_share_no_object(self):
+        """The maps are made per call: two reads of the same lines hold
+        equal records but no common header value, content or token tuple.
+        Every value has two or more characters, so none is a string that
+        the interpreter itself keeps one copy of."""
+        schema = compile_schema(IIOT_FORMAT, [(r"\d+", "<*>")])
+        lines = ["2019-06-01 10:00:00 SYS1 ETH0 pump 7 ok\n",
+                 "2019-06-01 10:00:01 SYS1 ETH0 pump 7 ok\n"]
+        first, _ = read_records(lines, schema)
+        second, _ = read_records(lines, schema)
+        assert first == second
+
+        def objects(records):
+            return {id(v) for rec in records
+                    for v in (*rec.headers.values(), rec.content, rec.tokens)}
+        assert not objects(first) & objects(second)
 
 
 class TestRecordTypes:
