@@ -209,29 +209,52 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
                             total_count=total)
 
 
+# the encoder ``json.dumps`` builds on each call for these arguments
+_BUNDLE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _bundle_chunks(models: list[CalibrationModel], schema: HeaderSchema):
+    """The bundle's bytes in pieces, one model's text at a time. Joined,
+    they are the compact JSON of the whole document with sorted keys."""
+    yield b'{"bundle_version":%d,"models":[' % BUNDLE_VERSION
+    for i, model in enumerate(models):
+        if i:
+            yield b","
+        yield _BUNDLE_JSON.encode(_model_to_doc(model)).encode()
+    schema_doc = {"format_template": schema.format_template,
+                  "mask_rules": [[p.pattern, repl] for p, repl in schema.mask_rules]}
+    yield b'],"schema":' + _BUNDLE_JSON.encode(schema_doc).encode() + b"}\n"
+
+
 def bundle_to_bytes(models: list[CalibrationModel], schema: HeaderSchema) -> bytes:
-    doc = {
-        "bundle_version": BUNDLE_VERSION,
-        "schema": {"format_template": schema.format_template,
-                   "mask_rules": [[p.pattern, repl] for p, repl in schema.mask_rules]},
-        "models": [_model_to_doc(m) for m in models],
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return b"".join(_bundle_chunks(models, schema))
 
 
 def save_bundle(models: list[CalibrationModel], schema: HeaderSchema, path) -> None:
     """Atomic write: the bundle appears complete or not at all, and a failed
-    write or rename leaves no temporary file behind."""
+    write or rename leaves no temporary file behind. Models are written one
+    at a time, so only one model's text is held at once."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    data = bundle_to_bytes(models, schema)
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            for chunk in _bundle_chunks(models, schema):
+                fh.write(chunk)
         tmp.replace(path)
     except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+class _FloatMemo(dict):
+    """JSON number text -> float, parsed on first sight, so that equal
+    scores in one document share one float object (``"-0.0"`` is its own
+    text and keeps its sign)."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
 
 
 def load_bundle(path) -> tuple[list[CalibrationModel], HeaderSchema]:
@@ -242,7 +265,8 @@ def load_bundle(path) -> tuple[list[CalibrationModel], HeaderSchema]:
     rule is reported as a bundle fault.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_float=_FloatMemo().__getitem__)
     except (OSError, ValueError) as exc:
         raise BundleError(f"cannot read bundle {path}: {exc}") from exc
     version = doc.get("bundle_version") if isinstance(doc, dict) else None
@@ -258,7 +282,7 @@ def load_bundle(path) -> tuple[list[CalibrationModel], HeaderSchema]:
         schema_doc = doc["schema"]
         schema = compile_schema(schema_doc["format_template"],
                                 schema_doc.get("mask_rules", []))
-    except (AttributeError, KeyError, TypeError, ValueError,
-            MalformedFormat) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            MalformedFormat) as exc:  # OverflowError: an int score no float holds
         raise BundleError(f"malformed bundle {path}: {exc}") from exc
     return models, schema

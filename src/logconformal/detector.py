@@ -27,7 +27,7 @@ class DetectorConfig:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     line_id: int
     label: str

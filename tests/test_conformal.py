@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logconformal import nonconformity
+from logconformal import conformal, nonconformity
 from logconformal.cli import main
 from logconformal.conformal import (CalibrationModel, bundle_to_bytes,
                                     calibrate, load_bundle, pvalue,
@@ -15,7 +16,7 @@ from logconformal.errors import (BundleError, EmptyCorpus, EmptyTemplateSet,
                                  UnknownTemplate)
 from logconformal.ingest import compile_schema
 from logconformal.nonconformity import weighted_score
-from logconformal.parsers import fit, match_record
+from logconformal.parsers import PARSER_NAMES, fit, match_record
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
 from conftest import dp_nearest, make_record
@@ -364,6 +365,8 @@ def _corrupt(doc, how):
         tid = model_doc["templates"][0][0]
         model_doc["total_count"] -= len(calib[tid])
         calib[tid] = "" if how == "string reservoir" else {}
+    elif how == "huge int score":  # sorts and is non-negative, but no float holds it
+        _largest(model_doc)[-1] = 10**400
 
 
 class TestBundle:
@@ -437,7 +440,7 @@ class TestBundle:
                                      "version true", "version float",
                                      "float total_count", "bool score",
                                      "string mask rule", "string reservoir",
-                                     "object reservoir"])
+                                     "object reservoir", "huge int score"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         models = self._models()
         doc = json.loads(bundle_to_bytes(models, compile_schema("<Content>")))
@@ -472,3 +475,96 @@ class TestBundle:
         assert got == {t.template_id: pvalue(model, t.template_id,
                                              weighted_score(t.tokens, rec.tokens))
                        for t in model.template_set.templates}
+
+
+def _whole_doc_bytes(models, schema) -> bytes:
+    """A bundle's bytes as one ``json.dumps`` of the whole document."""
+    doc = {
+        "bundle_version": 1,
+        "schema": {"format_template": schema.format_template,
+                   "mask_rules": [[p.pattern, repl] for p, repl in schema.mask_rules]},
+        "models": [{"parser_name": m.parser_name,
+                    "parser_params": m.template_set.parser_params,
+                    "templates": [[t.template_id, list(t.tokens), t.support]
+                                  for t in m.template_set.templates],
+                    "calibration": m.calib,
+                    "total_count": m.total_count} for m in models],
+    }
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "<*>", 'q"uote', "back\\slash", "é", "日本",
+                                    "\u2028", "x\ny"]), max_size=4)
+_RESERVOIRS = st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1e-7, 3.25, 1e300]),
+                                max_size=5).map(sorted), min_size=1, max_size=3)
+_MASK_RULES = st.lists(st.tuples(st.sampled_from([r"\d+", '"', r"\\", "é+", "x"]),
+                                 st.sampled_from(["<*>", "", '"', r"\\", "日"])),
+                       max_size=2)
+
+
+@st.composite
+def _bundles(draw):
+    models = []
+    for name in draw(st.lists(st.sampled_from(PARSER_NAMES), min_size=1, max_size=4,
+                              unique=True)):
+        ts = TemplateSet(parser_name=name, parser_params={})
+        calib = {}
+        for k, scores in enumerate(draw(_RESERVOIRS), start=1):
+            ts.templates.append(EventTemplate(template_id=f"T{k}",
+                                              tokens=tuple(draw(_TOKENS)),
+                                              support=len(scores)))
+            calib[f"T{k}"] = scores
+        models.append(CalibrationModel(parser_name=name, template_set=ts,
+                                       calib=calib,
+                                       total_count=sum(map(len, calib.values()))))
+    fmt = draw(st.sampled_from(["<Content>", "<Date> <Level>: <Content>"]))
+    return models, compile_schema(fmt, draw(_MASK_RULES))
+
+
+class TestBundleBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(_bundles())
+    def test_one_serializer_same_bytes(self, tmp_path_factory, bundle):
+        models, schema = bundle
+        want = _whole_doc_bytes(models, schema)
+        assert bundle_to_bytes(models, schema) == want
+        path = tmp_path_factory.mktemp("b") / "m.bundle"
+        save_bundle(models, schema, path)
+        assert path.read_bytes() == want
+
+    def test_load_shares_one_float_per_score_text(self, tmp_path):
+        path = tmp_path / "m.bundle"
+        save_bundle([_model({"T1": [0.0] * 1000, "T2": [-0.0, 0.0, 0.5]})],
+                    compile_schema("<Content>"), path)
+        calib = load_bundle(path)[0][0].calib
+        assert len({id(s) for s in calib["T1"]}) == 1
+        assert [math.copysign(1, s) for s in calib["T2"]] == [-1, 1, 1]
+
+    def test_loaded_pvalues_equal_a_plain_parse(self, tmp_path):
+        path = tmp_path / "m.bundle"
+        save_bundle([_model({"T1": [0.0, 0.5, 0.5, 1.25], "T2": [0.0] * 5, "T3": []})],
+                    compile_schema("<Content>"), path)
+        loaded = load_bundle(path)[0][0]
+        plain = conformal._model_from_doc(json.loads(path.read_text())["models"][0])
+        for tokens in (["x"], ["y"], ["x", "y"], []):
+            rec = make_record(1, tokens)
+            assert pvalues_for(loaded, rec) == pvalues_for(plain, rec)
+
+    def test_save_holds_one_model_text_at_a_time(self, tmp_path):
+        # the bound lies between the whole document's text (about 3.8 MB) and
+        # one model's (about 1.9 MB)
+        models = [_model({"T1": [0.0] * 25_000}, parser_name=name)
+                  for name in PARSER_NAMES]
+        schema = compile_schema("<Content>")
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_bundle(models, schema, tmp_path / "m.bundle")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2_800_000
