@@ -14,6 +14,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, InvalidSpec,
@@ -26,22 +27,41 @@ from .templates import EventTemplate, TemplateSet
 BUNDLE_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationModel:
-    """Per-template reservoirs of training nonconformity scores.
+    """Per-template reservoirs of training nonconformity scores, built whole:
+    neither the templates nor a reservoir change once the model exists."""
 
-    A reservoir does not change once the model is built. A template appended
-    to the model's set comes with its reservoir.
-    """
-
-    parser_name: str
     template_set: TemplateSet
     calib: dict[str, list[float]]  # ascending and non-negative per template
-    total_count: int
-    # what the reservoirs decide alone (see ``_by_reservoir``), derived for
-    # the first ``_derived_for`` templates
-    _derived_for: int = field(default=-1, init=False, repr=False, compare=False)
-    _derived: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    @property
+    def parser_name(self) -> str:
+        return self.template_set.parser_name
+
+    @property
+    def total_count(self) -> int:
+        return sum(map(len, self.calib.values()))
+
+    @cached_property
+    def _reservoir_classes(self) -> tuple[dict[str, float], set[str], list[EventTemplate]]:
+        """The templates by what their reservoir decides alone: every id
+        mapped to 0.0 in template order, the ids whose reservoir is all zero,
+        and the templates whose reservoir holds a positive score, in template
+        order. Raises :class:`UnknownTemplate` for a template without a
+        reservoir."""
+        zeros, all_zero, scored = {}, set(), []
+        for tmpl in self.template_set.templates:
+            tid = tmpl.template_id
+            scores = self.calib.get(tid)
+            if scores is None:
+                raise UnknownTemplate(tid)
+            zeros[tid] = 0.0
+            if scores and scores[-1] == 0.0:
+                all_zero.add(tid)
+            elif scores:
+                scored.append(tmpl)
+        return zeros, all_zero, scored
 
 
 @dataclass
@@ -76,8 +96,7 @@ def calibrate(ts: TemplateSet, training) -> CalibrationModel:
         calib[hit[0]].append(hit[1])
     for scores in calib.values():
         scores.sort()
-    return CalibrationModel(parser_name=ts.parser_name, template_set=ts,
-                            calib=calib, total_count=len(training))
+    return CalibrationModel(template_set=ts, calib=calib)
 
 
 def pvalue(model: CalibrationModel, template_id: str, alpha_star: float) -> float:
@@ -94,33 +113,6 @@ def pvalue(model: CalibrationModel, template_id: str, alpha_star: float) -> floa
     return (len(scores) - bisect_left(scores, alpha_star)) / len(scores)
 
 
-def _by_reservoir(model: CalibrationModel) -> tuple[dict[str, float], set[str],
-                                                   list[EventTemplate]]:
-    """The model's templates by what their reservoir decides alone: every id
-    mapped to 0.0 in template order, the ids whose reservoir is all zero, and
-    the templates whose reservoir holds a positive score, in template order.
-
-    Derived again only when the template count changes; raises
-    :class:`UnknownTemplate` for a template without a reservoir.
-    """
-    templates = model.template_set.templates
-    if model._derived_for != len(templates):
-        zeros, all_zero, scored = {}, set(), []
-        for tmpl in templates:
-            tid = tmpl.template_id
-            scores = model.calib.get(tid)
-            if scores is None:
-                raise UnknownTemplate(tid)
-            zeros[tid] = 0.0
-            if scores and scores[-1] == 0.0:
-                all_zero.add(tid)
-            elif scores:
-                scored.append(tmpl)
-        model._derived = zeros, all_zero, scored
-        model._derived_for = len(templates)
-    return model._derived
-
-
 def pvalues_for(model: CalibrationModel, record) -> PValueSet:
     """P-value of the record under every template of the model, keyed in
     template order.
@@ -131,7 +123,7 @@ def pvalues_for(model: CalibrationModel, record) -> PValueSet:
     when the template matches the record positionally, which needs the
     record's length.
     """
-    zeros, all_zero, scored = _by_reservoir(model)
+    zeros, all_zero, scored = model._reservoir_classes
     pvalues = zeros.copy()
     tokens = record.tokens
     for tmpl in model.template_set.of_length(len(tokens)):
@@ -179,17 +171,16 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
         params_from_dict(name, doc["parser_params"])
     except (InvalidSpec, UnknownParser) as exc:
         raise ValueError(f"parser {name!r}: {exc}") from exc
-    ts = TemplateSet(parser_name=name, parser_params=doc["parser_params"])
+    templates = []
     for template_id, tokens, support in doc["templates"]:
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens) \
                 or not _is_int(support):
             raise ValueError(f"{name}: template {template_id!r} needs a list of "
                              f"string tokens and an integer support")
-        ts.templates.append(EventTemplate(template_id=template_id,
-                                          tokens=tuple(tokens),
-                                          support=support))
+        templates.append(EventTemplate(template_id=template_id, tokens=tuple(tokens),
+                                       support=support))
     calib = doc["calibration"]
-    ids = [t.template_id for t in ts.templates]
+    ids = [t.template_id for t in templates]
     if not ids:
         raise ValueError(f"{name}: no templates")
     if len(set(ids)) != len(ids) or set(ids) != set(calib):
@@ -203,10 +194,12 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     total = doc["total_count"]
     if not _is_int(total):
         raise ValueError(f"{name}: total_count must be an integer, got {total!r}")
-    if sum(map(len, calib.values())) != total:
+    ts = TemplateSet(parser_name=name, parser_params=doc["parser_params"],
+                     templates=tuple(templates))
+    model = CalibrationModel(template_set=ts, calib=calib)
+    if model.total_count != total:
         raise ValueError(f"{name}: reservoir sizes do not sum to total_count")
-    return CalibrationModel(parser_name=name, template_set=ts, calib=calib,
-                            total_count=total)
+    return model
 
 
 # the encoder ``json.dumps`` builds on each call for these arguments
@@ -224,10 +217,6 @@ def _bundle_chunks(models: list[CalibrationModel], schema: HeaderSchema):
     schema_doc = {"format_template": schema.format_template,
                   "mask_rules": [[p.pattern, repl] for p, repl in schema.mask_rules]}
     yield b'],"schema":' + _BUNDLE_JSON.encode(schema_doc).encode() + b"}\n"
-
-
-def bundle_to_bytes(models: list[CalibrationModel], schema: HeaderSchema) -> bytes:
-    return b"".join(_bundle_chunks(models, schema))
 
 
 def save_bundle(models: list[CalibrationModel], schema: HeaderSchema, path) -> None:

@@ -105,8 +105,7 @@ def render_alarm_line(verdict: Verdict) -> str:
         "line_id": verdict.line_id,
         "label": verdict.label,
         "max_p": verdict.max_p,
-        "prediction_set": {parser: [[tid, p] for tid, p in pairs]
-                           for parser, pairs in verdict.prediction_set.items()},
+        "prediction_set": verdict.prediction_set,
     }
     if verdict.error is not None:
         doc["error"] = verdict.error

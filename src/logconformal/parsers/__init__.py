@@ -123,11 +123,10 @@ def fit(parser_name: str, params, records) -> TemplateSet:
     # imported here: loading a bundle needs only the params classes
     miner = getattr(importlib.import_module(f"{__name__}.{parser_name}"),
                     f"fit_{parser_name}")
-    ts = TemplateSet(parser_name=parser_name, parser_params=params)
-    for k, (tokens, member_ids) in enumerate(miner(records, **params), 1):
-        ts.templates.append(EventTemplate(template_id=f"T{k}", tokens=tuple(tokens),
-                                          support=len(member_ids)))
-    return ts
+    templates = tuple(EventTemplate(template_id=f"T{k}", tokens=tuple(tokens),
+                                    support=len(member_ids))
+                      for k, (tokens, member_ids) in enumerate(miner(records, **params), 1))
+    return TemplateSet(parser_name=parser_name, parser_params=params, templates=templates)
 
 
 def match_record(ts: TemplateSet, record) -> str | None:

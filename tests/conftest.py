@@ -14,6 +14,13 @@ def make_record(line_id: int, tokens) -> LogRecord:
                      tokens=tuple(tokens))
 
 
+def template_set(templates, parser_name: str = "drain") -> TemplateSet:
+    """A set built whole from ``(template_id, tokens)`` pairs, in their order."""
+    return TemplateSet(parser_name=parser_name, parser_params={},
+                       templates=tuple(EventTemplate(template_id=tid, tokens=tuple(tokens))
+                                       for tid, tokens in templates))
+
+
 def dp_nearest(ts: TemplateSet, record) -> tuple[str, float]:
     """Reference nearest template: the full-DP argmin of ``weighted_score``
     over every template, ties to the smaller id compared as a string."""
@@ -36,13 +43,9 @@ def graded_models() -> list[CalibrationModel]:
     }
     models = []
     for name, templates in specs.items():
-        ts = TemplateSet(parser_name=name, parser_params={})
-        for tid, tokens, _ in templates:
-            ts.templates.append(EventTemplate(template_id=tid, tokens=tokens))
-        calib = {tid: scores for tid, _, scores in templates}
-        models.append(CalibrationModel(parser_name=name, template_set=ts,
-                                       calib=calib,
-                                       total_count=sum(map(len, calib.values()))))
+        ts = template_set([(tid, tokens) for tid, tokens, _ in templates], name)
+        models.append(CalibrationModel(template_set=ts, calib={
+            tid: scores for tid, _, scores in templates}))
     return models
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,9 +10,8 @@ from hypothesis import strategies as st
 
 from logconformal import conformal, nonconformity
 from logconformal.cli import main
-from logconformal.conformal import (CalibrationModel, bundle_to_bytes,
-                                    calibrate, load_bundle, pvalue,
-                                    pvalues_for, save_bundle)
+from logconformal.conformal import (CalibrationModel, calibrate, load_bundle,
+                                    pvalue, pvalues_for, save_bundle)
 from logconformal.errors import (BundleError, EmptyCorpus, EmptyTemplateSet,
                                  UnknownTemplate)
 from logconformal.ingest import compile_schema
@@ -19,23 +19,17 @@ from logconformal.nonconformity import weighted_score
 from logconformal.parsers import PARSER_NAMES, fit, match_record
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
-from conftest import dp_nearest, make_record
+from conftest import dp_nearest, graded_models, make_record, template_set
 
 
 def _two_template_set():
-    ts = TemplateSet(parser_name="drain", parser_params={})
-    ts.templates.append(EventTemplate(template_id="T1", tokens=("a", "b", "c")))
-    ts.templates.append(EventTemplate(template_id="T2", tokens=("a", "b")))
-    return ts
+    return template_set([("T1", ("a", "b", "c")), ("T2", ("a", "b"))])
 
 
 def _model(calib, parser_name="drain"):
-    ts = TemplateSet(parser_name=parser_name, parser_params={})
-    for tid in calib:
-        ts.templates.append(EventTemplate(template_id=tid, tokens=("x",)))
-    return CalibrationModel(parser_name=parser_name, template_set=ts,
-                            calib={tid: sorted(v) for tid, v in calib.items()},
-                            total_count=sum(len(v) for v in calib.values()))
+    return CalibrationModel(template_set=template_set([(tid, ("x",)) for tid in calib],
+                                                      parser_name),
+                            calib={tid: sorted(v) for tid, v in calib.items()})
 
 
 class TestCalibrate:
@@ -72,6 +66,34 @@ class TestCalibrate:
             calibrate(TemplateSet(parser_name="x", parser_params={}), [make_record(1, ["a"])])
         with pytest.raises(EmptyCorpus):
             calibrate(_two_template_set(), [])
+
+
+class TestBuiltWhole:
+    """A set and a model are built by one constructor call and never change;
+    what they derive comes from the facts they hold."""
+
+    def _trained(self):
+        records = [make_record(i + 1, ["evt", str(i % 3), "ok"]) for i in range(30)]
+        ts = fit("drain", None, records)
+        return ts, calibrate(ts, records)
+
+    def test_derived_facts_equal_their_sources(self, tmp_path):
+        ts, model = self._trained()
+        path = tmp_path / "m.bundle"
+        save_bundle([model], compile_schema("<Content>"), path)
+        for m in [model, *load_bundle(path)[0], *graded_models()]:
+            assert m.parser_name == m.template_set.parser_name
+            assert m.total_count == sum(len(v) for v in m.calib.values())
+        assert (model.parser_name, model.total_count) == ("drain", 30)
+
+    def test_set_and_model_reject_mutation(self):
+        ts, model = self._trained()
+        assert isinstance(ts.templates, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ts.templates = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.calib = {}
+        assert [f.name for f in dataclasses.fields(model)] == ["template_set", "calib"]
 
 
 class TestPValue:
@@ -129,17 +151,14 @@ class TestPValue:
 
 class TestPValuesFor:
     def test_minimum_score_gets_full_pvalue(self):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        ts.templates.append(EventTemplate(template_id="T1", tokens=("a", "b")))
-        model = CalibrationModel(parser_name="drain", template_set=ts,
-                                 calib={"T1": [0.0, 0.0, 0.5]}, total_count=3)
+        model = CalibrationModel(template_set=template_set([("T1", ("a", "b"))]),
+                                 calib={"T1": [0.0, 0.0, 0.5]})
         pset = pvalues_for(model, make_record(1, ["a", "b"]))
         assert pset.pvalues["T1"] == 1.0
 
     def test_template_missing_from_calibration(self):
         ts = _two_template_set()
-        model = CalibrationModel(parser_name="drain", template_set=ts,
-                                 calib={"T1": [0.0]}, total_count=1)
+        model = CalibrationModel(template_set=ts, calib={"T1": [0.0]})
         with pytest.raises(UnknownTemplate):
             pvalues_for(model, make_record(1, ["a", "b"]))
 
@@ -168,12 +187,9 @@ _TIED = [("T2", ["a", WILDCARD], [0.0]), ("T10", ["a", "b"], [0.0]),
 
 
 def _dp_model(templates):
-    ts = TemplateSet(parser_name="drain", parser_params={})
-    for tid, tokens, _ in templates:
-        ts.templates.append(EventTemplate(template_id=tid, tokens=tuple(tokens)))
-    calib = {tid: sorted(scores) for tid, _, scores in templates}
-    return CalibrationModel(parser_name="drain", template_set=ts, calib=calib,
-                            total_count=sum(map(len, calib.values())))
+    return CalibrationModel(
+        template_set=template_set([(tid, tokens) for tid, tokens, _ in templates]),
+        calib={tid: sorted(scores) for tid, _, scores in templates})
 
 
 class TestPruningMatchesDP:
@@ -184,35 +200,17 @@ class TestPruningMatchesDP:
     @example(_TIED, ["a", "b"])
     @settings(max_examples=300, deadline=None)
     def test_pvalues_for(self, templates, tokens):
+        """The p-values are also keyed in fit order, and a second call, which
+        reads the views the first one derived, gives the same."""
         model = _dp_model(templates)
         rec = make_record(1, tokens)
         expected = {t.template_id: pvalue(model, t.template_id,
                                           weighted_score(t.tokens, rec.tokens))
                     for t in model.template_set.templates}
-        assert pvalues_for(model, rec).pvalues == expected
-
-    @given(_TEMPLATES.flatmap(lambda ts: st.tuples(
-        st.just(ts), st.integers(min_value=1, max_value=len(ts)))), _RECORD)
-    @settings(max_examples=200, deadline=None)
-    def test_appended_templates_are_seen(self, split, tokens):
-        """The length index and the reservoir classes a first call builds
-        take in the templates appended after it (none when ``first`` is the
-        whole list), and the p-values stay keyed in fit order."""
-        templates, first = split
-        model = _dp_model(templates[:first])
-        ts, rec = model.template_set, make_record(1, tokens)
-        pvalues_for(model, rec)
-        nonconformity.nearest(ts, rec.tokens)
-        for tid, tmpl_tokens, scores in templates[first:]:
-            ts.templates.append(EventTemplate(template_id=tid, tokens=tuple(tmpl_tokens)))
-            model.calib[tid] = sorted(scores)
-        got = pvalues_for(model, rec).pvalues
-        expected = {t.template_id: pvalue(model, t.template_id,
-                                          weighted_score(t.tokens, rec.tokens))
-                    for t in ts.templates}
-        assert got == expected
-        assert list(got) == list(expected)
-        assert nonconformity.nearest(ts, rec.tokens) == dp_nearest(ts, rec)
+        for _ in range(2):
+            got = pvalues_for(model, rec).pvalues
+            assert got == expected
+            assert list(got) == list(expected)
 
     @given(_TEMPLATES, _RECORD)
     @example(_TIED, ["a", "b"])
@@ -369,6 +367,11 @@ def _corrupt(doc, how):
         _largest(model_doc)[-1] = 10**400
 
 
+def _saved_bytes(models, schema, path) -> bytes:
+    save_bundle(models, schema, path)
+    return path.read_bytes()
+
+
 class TestBundle:
     def _models(self):
         records = [make_record(i + 1, ["evt", str(i % 3), "ok"]) for i in range(30)]
@@ -386,23 +389,20 @@ class TestBundle:
         loaded, loaded_schema = load_bundle(path)
         assert json.loads(path.read_bytes())["schema"] == {
             "format_template": fmt, "mask_rules": [list(r) for r in rules]}
-        assert bundle_to_bytes(loaded, loaded_schema) == path.read_bytes()
+        assert _saved_bytes(loaded, loaded_schema, tmp_path / "again.bundle") \
+            == path.read_bytes()
         assert [m.calib for m in loaded] == [m.calib for m in models]
 
     def test_templates_keep_their_order(self, tmp_path):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        for tid in ("T10", "T2"):
-            ts.templates.append(EventTemplate(template_id=tid, tokens=(tid,)))
-        model = CalibrationModel(parser_name="drain", template_set=ts,
-                                 calib={"T10": [0.0], "T2": [0.0, 1.0]}, total_count=3)
-        data = bundle_to_bytes([model], compile_schema("<Content>"))
+        ts = template_set([(tid, (tid,)) for tid in ("T10", "T2")])
+        model = CalibrationModel(template_set=ts, calib={"T10": [0.0], "T2": [0.0, 1.0]})
+        path = tmp_path / "m.bundle"
+        data = _saved_bytes([model], compile_schema("<Content>"), path)
         stored = json.loads(data)["models"][0]["templates"]
         assert [tid for tid, _, _ in stored] == ["T10", "T2"]
-        path = tmp_path / "m.bundle"
-        path.write_bytes(data)
         loaded, loaded_schema = load_bundle(path)
         assert [t.template_id for t in loaded[0].template_set.templates] == ["T10", "T2"]
-        assert bundle_to_bytes(loaded, loaded_schema) == data
+        assert _saved_bytes(loaded, loaded_schema, tmp_path / "again.bundle") == data
 
     def test_save_is_deterministic(self, tmp_path):
         models = self._models()
@@ -442,8 +442,8 @@ class TestBundle:
                                      "string mask rule", "string reservoir",
                                      "object reservoir", "huge int score"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
-        models = self._models()
-        doc = json.loads(bundle_to_bytes(models, compile_schema("<Content>")))
+        doc = json.loads(_saved_bytes(self._models(), compile_schema("<Content>"),
+                                      tmp_path / "good.bundle"))
         _corrupt(doc, how)
         path = tmp_path / "bad.bundle"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -455,8 +455,8 @@ class TestBundle:
                      "--out", str(tmp_path / "alarms.jsonl")]) == 4
 
     def test_signed_zero_reservoir_loads(self, tmp_path, monkeypatch):
-        models = self._models()
-        doc = json.loads(bundle_to_bytes(models, compile_schema("<Content>")))
+        doc = json.loads(_saved_bytes(self._models(), compile_schema("<Content>"),
+                                      tmp_path / "good.bundle"))
         _largest(doc["models"][0])[0] = -0.0
         path = tmp_path / "zero.bundle"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -507,16 +507,11 @@ def _bundles(draw):
     models = []
     for name in draw(st.lists(st.sampled_from(PARSER_NAMES), min_size=1, max_size=4,
                               unique=True)):
-        ts = TemplateSet(parser_name=name, parser_params={})
-        calib = {}
-        for k, scores in enumerate(draw(_RESERVOIRS), start=1):
-            ts.templates.append(EventTemplate(template_id=f"T{k}",
-                                              tokens=tuple(draw(_TOKENS)),
-                                              support=len(scores)))
-            calib[f"T{k}"] = scores
-        models.append(CalibrationModel(parser_name=name, template_set=ts,
-                                       calib=calib,
-                                       total_count=sum(map(len, calib.values()))))
+        calib = {f"T{k}": scores for k, scores in enumerate(draw(_RESERVOIRS), start=1)}
+        ts = TemplateSet(parser_name=name, parser_params={}, templates=tuple(
+            EventTemplate(template_id=tid, tokens=tuple(draw(_TOKENS)), support=len(scores))
+            for tid, scores in calib.items()))
+        models.append(CalibrationModel(template_set=ts, calib=calib))
     fmt = draw(st.sampled_from(["<Content>", "<Date> <Level>: <Content>"]))
     return models, compile_schema(fmt, draw(_MASK_RULES))
 
@@ -526,11 +521,8 @@ class TestBundleBytes:
     @given(_bundles())
     def test_one_serializer_same_bytes(self, tmp_path_factory, bundle):
         models, schema = bundle
-        want = _whole_doc_bytes(models, schema)
-        assert bundle_to_bytes(models, schema) == want
         path = tmp_path_factory.mktemp("b") / "m.bundle"
-        save_bundle(models, schema, path)
-        assert path.read_bytes() == want
+        assert _saved_bytes(models, schema, path) == _whole_doc_bytes(models, schema)
 
     def test_load_shares_one_float_per_score_text(self, tmp_path):
         path = tmp_path / "m.bundle"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from logconformal.errors import EmptyTemplateSet
 from logconformal.nonconformity import (DELETE, INSERT, REPLACE, ScoreParams,
                                         edit_script, nearest, weighted_score)
-from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
+from logconformal.templates import WILDCARD, TemplateSet
 
-from conftest import make_record
+from conftest import make_record, template_set
 
 
 def naive_min_edits(a, b):
@@ -120,10 +120,7 @@ class TestWeightedScore:
 
 class TestNearest:
     def _set(self, template_map):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        for tid, tokens in template_map.items():
-            ts.templates.append(EventTemplate(template_id=tid, tokens=tuple(tokens)))
-        return ts
+        return template_set(template_map.items())
 
     def test_zero_distance_wins(self):
         ts = self._set({"T1": ("Send", "done"), "T2": ("other", "thing")})

@@ -13,7 +13,7 @@ from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
 from logconformal.templates import WILDCARD, EventTemplate, TemplateSet
 
 import perline_miners
-from conftest import make_record
+from conftest import make_record, template_set
 
 ALL_PARSERS = ("drain", "spell", "iplom", "logcluster")
 
@@ -244,9 +244,7 @@ class TestMatchRecord:
         assert match_record(ts, make_record(5, ["Load", "x.ini", "ok"])) == "T1"
 
     def test_lexicographic_tie_break(self):
-        ts = TemplateSet(parser_name="drain", parser_params={})
-        ts.templates.append(EventTemplate(template_id="T2", tokens=("a", "b")))
-        ts.templates.append(EventTemplate(template_id="T10", tokens=("a", "b")))
+        ts = template_set([("T2", ("a", "b")), ("T10", ("a", "b"))])
         assert match_record(ts, make_record(1, ["a", "b"])) == "T10"
 
     def test_empty_set_returns_none(self):
