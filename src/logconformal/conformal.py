@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import (BundleError, EmptyCorpus, EmptyTemplateSet, InvalidSpec,
-                     MalformedFormat, UnknownParser, UnknownTemplate)
+from .errors import (BundleError, EmptyCorpus, InvalidSpec, MalformedFormat,
+                     UnknownParser, UnknownTemplate)
 from .ingest import HeaderSchema, compile_schema
 from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
@@ -79,10 +79,11 @@ def calibrate(ts: TemplateSet, training) -> CalibrationModel:
     """Score every training record against its matched template.
 
     Identical token sequences are scored once and their score replicated, so
-    the calibration lists still hold one entry per record.
+    the calibration lists still hold one entry per record. Raises
+    :class:`EmptyCorpus` for no training records and, through ``nearest`` on
+    the first record, :class:`EmptyTemplateSet` for a set with no templates;
+    both empty is an :class:`EmptyCorpus`.
     """
-    if not ts.templates:
-        raise EmptyTemplateSet(f"{ts.parser_name} has no templates")
     training = list(training)
     if not training:
         raise EmptyCorpus("no calibration records")

@@ -29,14 +29,13 @@ class DetectorConfig:
 
 @dataclass(slots=True)
 class Verdict:
-    line_id: int
     label: str
     prediction_set: dict[str, list[tuple[str, float]]]
     max_p: float
     error: str | None = None
 
 
-def decide(psets: list[PValueSet], cfg: DetectorConfig, line_id: int = 0) -> Verdict:
+def decide(psets: list[PValueSet], cfg: DetectorConfig) -> Verdict:
     """Filter each parser's p-values at epsilon and label the record.
 
     The boundary survives: p == epsilon stays in the prediction set. A
@@ -54,8 +53,7 @@ def decide(psets: list[PValueSet], cfg: DetectorConfig, line_id: int = 0) -> Ver
                                         if p >= eps] if top >= eps else []
     max_p = max(tops)
     label = ANOMALY if max_p < eps else NORMAL
-    return Verdict(line_id=line_id, label=label, prediction_set=prediction,
-                   max_p=max_p)
+    return Verdict(label=label, prediction_set=prediction, max_p=max_p)
 
 
 def pvalue_sets_for(models: list[CalibrationModel], record) -> list[PValueSet]:
@@ -66,32 +64,29 @@ def detect_batch(models: list[CalibrationModel], records,
                  cfg: DetectorConfig) -> list[Verdict]:
     """One verdict per record, order preserved.
 
-    Per-record failures are captured on the verdict's ``error`` field with a
-    fail-closed anomaly label instead of aborting the batch; a failure is
-    never cached, so every record of a failing token sequence carries it.
-    Identical token sequences share one p-value computation and one decision:
-    their verdicts differ only in ``line_id`` and share one ``prediction_set``,
-    which callers must treat as read-only.
+    A verdict depends only on the record's tokens, so records with equal
+    tokens get the same ``Verdict`` object (p-values and one decision per
+    distinct sequence); callers must treat it as read-only and take the line
+    id from the record. Per-record failures are captured on a fresh verdict's
+    ``error`` field with a fail-closed anomaly label instead of aborting the
+    batch; a failure is never cached, so every record of a failing token
+    sequence is scored again and carries its own error.
     """
     if not models:
         raise NoParsers("no trained models")
     decided: dict[tuple[str, ...], Verdict] = {}
     verdicts = []
     for rec in records:
-        shared = decided.get(rec.tokens)
-        if shared is None:
+        verdict = decided.get(rec.tokens)
+        if verdict is None:
             try:
-                verdict = decide(pvalue_sets_for(models, rec), cfg, rec.line_id)
+                verdict = decide(pvalue_sets_for(models, rec), cfg)
             except Exception as exc:  # per-record error channel
-                verdict = Verdict(line_id=rec.line_id, label=ANOMALY,
-                                  prediction_set={}, max_p=0.0, error=str(exc))
+                verdict = Verdict(label=ANOMALY, prediction_set={}, max_p=0.0,
+                                  error=str(exc))
             else:
                 decided[rec.tokens] = verdict
-            verdicts.append(verdict)
-            continue
-        verdicts.append(Verdict(line_id=rec.line_id, label=shared.label,
-                                prediction_set=shared.prediction_set,
-                                max_p=shared.max_p))
+        verdicts.append(verdict)
     return verdicts
 
 
@@ -99,10 +94,10 @@ def detect_batch(models: list[CalibrationModel], records,
 _ALARM_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def render_alarm_line(verdict: Verdict) -> str:
+def render_alarm_line(line_id: int, verdict: Verdict) -> str:
     """Stable line-delimited alarm record for downstream diffing."""
     doc = {
-        "line_id": verdict.line_id,
+        "line_id": line_id,
         "label": verdict.label,
         "max_p": verdict.max_p,
         "prediction_set": verdict.prediction_set,
@@ -112,34 +107,27 @@ def render_alarm_line(verdict: Verdict) -> str:
     return _ALARM_JSON.encode(doc)
 
 
-_ALARM_HEAD = '{"label":"anomaly","line_id":'
-
-
 def write_alarms(fh, records, verdicts: list[Verdict]) -> int:
-    """Write ``render_alarm_line`` of each anomaly verdict, one per line, and
-    return how many were written.
+    """Write ``render_alarm_line`` of each anomaly record's line id and
+    verdict, one per line, and return how many were written.
 
-    ``verdicts`` must be ``detect_batch``'s output for ``records``, so that
-    records with equal tokens share all of a verdict but its ``line_id``.
-    Each such sequence is rendered once; its lines are that text with their
-    own id spliced in. This keeps the bytes: with sorted keys a line without
-    an error starts with ``_ALARM_HEAD`` and then the id, which ``json.dumps``
-    writes as ``str(int)``. Error verdicts are never shared and are rendered
-    one by one.
+    Each verdict object is rendered once, for its first alarmed record; its
+    other records' lines are that text with their own id spliced in where
+    ``"line_id":<id>,`` stands. No escaped JSON string can hold an unescaped
+    ``"line_id":``, so the first match is the key, and ``json.dumps`` writes
+    the id as ``str(int)``: the bytes are those of rendering each line.
+    Keying by ``id(v)`` is safe because ``verdicts`` keeps every verdict alive.
     """
-    tails: dict[tuple[str, ...], str] = {}
+    parts: dict[int, tuple[str, str]] = {}
     alarms = 0
     for rec, v in zip(records, verdicts, strict=True):
         if v.label != ANOMALY:
             continue
         alarms += 1
-        if v.error is not None:
-            fh.write(render_alarm_line(v) + "\n")
-            continue
-        tail = tails.get(rec.tokens)
-        if tail is None:
-            line = render_alarm_line(v)
-            tail = line[len(_ALARM_HEAD) + len(str(v.line_id)):] + "\n"
-            tails[rec.tokens] = tail
-        fh.write(_ALARM_HEAD + str(v.line_id) + tail)
+        split = parts.get(id(v))
+        if split is None:
+            line = render_alarm_line(rec.line_id, v)
+            head, _, tail = line.partition('"line_id":%d,' % rec.line_id)
+            split = parts[id(v)] = (head + '"line_id":', "," + tail + "\n")
+        fh.write(split[0] + str(rec.line_id) + split[1])
     return alarms

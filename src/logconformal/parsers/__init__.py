@@ -86,8 +86,9 @@ def params_from_dict(parser_name: str, overrides: dict | None):
     if parser_name not in _PARAMS:
         raise UnknownParser(parser_name)
     params_cls = _PARAMS[parser_name]
-    overrides = overrides or {}
-    if not isinstance(overrides, dict):
+    if overrides is None:
+        overrides = {}
+    elif not isinstance(overrides, dict):
         raise InvalidSpec(f"{parser_name} parameters must be an object")
     defaults = {f.name: f.default for f in fields(params_cls)}
     for key, value in overrides.items():

@@ -298,9 +298,9 @@ class TestDetect:
 
 
 class TestAlarmSplice:
-    """detect renders each alarmed token sequence once and splices every
-    other line's id into that text; the file must still hold exactly
-    ``render_alarm_line`` of each alarm."""
+    """detect renders each alarmed verdict once and splices every other
+    line's id into that text; the file must still hold exactly
+    ``render_alarm_line`` of each alarm's line id and verdict."""
 
     BAD = ("valve", "shut")
     # ("pump", "ok") alarms at ids of one, two and three digits; it and
@@ -363,31 +363,32 @@ class TestAlarmSplice:
             if bad is not None:
                 self._failing_on(pool[bad % len(pool)], mp)
             written, verdicts = self._detect(bundle, records, eps, mp)
-        assert written == "".join(render_alarm_line(v) + "\n"
-                                  for v in verdicts if v.label == ANOMALY)
+        assert written == "".join(render_alarm_line(rec.line_id, v) + "\n"
+                                  for rec, v in zip(records, verdicts)
+                                  if v.label == ANOMALY)
 
     def test_one_render_per_alarmed_sequence_and_error_line(self, bundle,
                                                             monkeypatch, capsys):
         calls = []
 
-        def counting(verdict):
-            calls.append(verdict.line_id)
-            return render_alarm_line(verdict)
+        def counting(line_id, verdict):
+            calls.append(line_id)
+            return render_alarm_line(line_id, verdict)
         monkeypatch.setattr(detector, "render_alarm_line", counting)
         self._failing_on(self.BAD, monkeypatch)
         records = [make_record(line_id, tokens) for tokens, line_id in self.ROWS]
         written, verdicts = self._detect(bundle, records, 0.9, monkeypatch)
 
-        alarmed = [(rec.tokens, v) for rec, v in zip(records, verdicts)
+        alarmed = [(rec, v) for rec, v in zip(records, verdicts)
                    if v.label == ANOMALY]
-        errors = [v.line_id for _, v in alarmed if v.error is not None]
+        errors = [rec.line_id for rec, v in alarmed if v.error is not None]
         assert errors == [7, 33]
-        assert {t for t, v in alarmed if v.error is None} == {
+        assert {rec.tokens for rec, v in alarmed if v.error is None} == {
             ("pump", "ok"), ("totally", "unrelated"), ("valve",)}
         # the first line of each alarmed sequence, and every error line
         assert calls == [9, 7, 25, 33, 5]
-        assert written == "".join(render_alarm_line(v) + "\n"
-                                  for _, v in alarmed)
+        assert written == "".join(render_alarm_line(rec.line_id, v) + "\n"
+                                  for rec, v in alarmed)
         assert len(written.splitlines()) == 11
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"processed=12 alarms=11 epsilon=0.9 out={bundle / 'alarms.jsonl'}")
@@ -465,6 +466,7 @@ class TestEval:
     ("train", {"parsers": None}),
     ("train", {"paths": {"model": ""}}),
     ("train", {"paths": {"chain": ""}}),
+    ("train", {"parsers": {"drain": False}}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, command, override):
     log = tmp_path / "in.log"

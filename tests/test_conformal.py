@@ -337,8 +337,8 @@ def _corrupt(doc, how):
         model_doc["parser_name"] = "nope"
     elif how == "bad param type":
         doc["models"][0]["parser_params"] = {"depth": "x"}
-    elif how == "params not an object":
-        model_doc["parser_params"] = "x"
+    elif how in ("params not an object", "params empty list"):
+        model_doc["parser_params"] = "x" if how == "params not an object" else []
     elif how == "repeated parser":
         doc["models"][1] = doc["models"][0]
     elif how == "string tokens":
@@ -440,7 +440,8 @@ class TestBundle:
                                      "version true", "version float",
                                      "float total_count", "bool score",
                                      "string mask rule", "string reservoir",
-                                     "object reservoir", "huge int score"])
+                                     "object reservoir", "huge int score",
+                                     "params empty list"])
     def test_inconsistent_bundle_rejected(self, tmp_path, how):
         doc = json.loads(_saved_bytes(self._models(), compile_schema("<Content>"),
                                       tmp_path / "good.bundle"))

@@ -126,9 +126,9 @@ class TestDecide:
         epsilon; the result equals filtering every parser."""
         maps, eps = case
         psets = [_pset(name, pvalues) for name, pvalues in maps]
-        v = decide(psets, DetectorConfig(epsilon=eps), 7)
+        v = decide(psets, DetectorConfig(epsilon=eps))
         assert (v.prediction_set, v.max_p, v.label) == _filter_every_parser(psets, eps)
-        assert v.line_id == 7
+        assert v.error is None
 
 
 def _trained_models():
@@ -149,9 +149,14 @@ class TestDetectBatch:
 
     def test_order_preserved_and_counts(self):
         models = _trained_models()
-        batch = [make_record(100 + i, ["pump", "ok", str(i)]) for i in range(5)]
-        verdicts = detect_batch(models, batch, DetectorConfig(epsilon=0.27))
-        assert [v.line_id for v in verdicts] == [100, 101, 102, 103, 104]
+        rows = [["pump", "ok", "0"], ["totally", "unrelated", "noise", "here"],
+                ["valve", "shut"], ["pump", "ok", "9"], ["alarm"]]
+        batch = [make_record(100 + i, r) for i, r in enumerate(rows)]
+        cfg = DetectorConfig(epsilon=0.27)
+        verdicts = detect_batch(models, batch, cfg)
+        assert verdicts == [detect_batch(models, [r], cfg)[0] for r in batch]
+        assert [v.label for v in verdicts] == [NORMAL, ANOMALY, NORMAL,
+                                               NORMAL, ANOMALY]
 
     def test_known_record_is_normal(self):
         models = _trained_models()
@@ -191,7 +196,7 @@ _TOKENS = st.lists(st.sampled_from(["pump", "ok", "valve", "shut", "alarm",
 
 def _reference(models, batch, cfg):
     """The per-line definition: score and decide every record on its own."""
-    return [decide(pvalue_sets_for(models, r), cfg, r.line_id) for r in batch]
+    return [decide(pvalue_sets_for(models, r), cfg) for r in batch]
 
 
 class TestDetectBatchPerSequence:
@@ -239,13 +244,33 @@ class TestDetectBatchPerSequence:
         verdicts = detect_batch(models, batch, cfg)
         for rec, verdict in zip(batch, verdicts):
             if rec.tokens == bad:
-                assert verdict == Verdict(line_id=rec.line_id, label=ANOMALY,
-                                          prediction_set={}, max_p=0.0,
-                                          error="scoring exploded")
+                assert verdict == Verdict(label=ANOMALY, prediction_set={},
+                                          max_p=0.0, error="scoring exploded")
             else:
-                assert verdict == decide(pvalue_sets_for(models, rec), cfg,
-                                         rec.line_id)
+                assert verdict == decide(pvalue_sets_for(models, rec), cfg)
         assert calls == {bad: 3, ("pump", "ok", "1"): 1, ("alarm", "x"): 1}
+
+    def test_equal_tokens_share_one_verdict_object(self, monkeypatch):
+        models = graded_models()
+        bad = ("valve", "shut")
+
+        def flaky(models, record):
+            if record.tokens == bad:
+                raise RuntimeError(f"scoring line {record.line_id} exploded")
+            return pvalue_sets_for(models, record)
+
+        monkeypatch.setattr(detector, "pvalue_sets_for", flaky)
+        rows = [("pump", "ok", "1"), bad, ("alarm", "x"), ("pump", "ok", "1"),
+                bad, ("alarm", "x"), ("pump", "ok", "1")]
+        batch = [make_record(10 + i, r) for i, r in enumerate(rows)]
+        verdicts = detect_batch(models, batch, DetectorConfig(epsilon=0.27))
+        assert verdicts[0] is verdicts[3] is verdicts[6]
+        assert verdicts[2] is verdicts[5]
+        assert verdicts[0] is not verdicts[2]
+        # an error verdict is built for its own record and never shared
+        assert verdicts[1] is not verdicts[4]
+        assert [verdicts[1].error, verdicts[4].error] == [
+            "scoring line 11 exploded", "scoring line 14 exploded"]
 
     def test_patched_module_attributes_run_once_per_sequence(self, monkeypatch):
         # The benchmark's tracer counts calls by patching these attributes;
@@ -271,15 +296,15 @@ class TestDetectBatchPerSequence:
 
 class TestAlarmRendering:
     def test_stable_line_shape(self):
-        v = Verdict(line_id=12, label=ANOMALY,
+        v = Verdict(label=ANOMALY,
                     prediction_set={"drain": [], "spell": []}, max_p=0.05)
-        doc = json.loads(render_alarm_line(v))
+        doc = json.loads(render_alarm_line(12, v))
         assert doc == {"line_id": 12, "label": "anomaly", "max_p": 0.05,
                        "prediction_set": {"drain": [], "spell": []}}
 
     def test_deterministic_bytes(self):
-        v = Verdict(line_id=1, label=NORMAL,
+        v = Verdict(label=NORMAL,
                     prediction_set={"b": [("T1", 1.0)], "a": [("T2", 0.5)]},
                     max_p=1.0)
-        assert render_alarm_line(v) == render_alarm_line(v)
-        assert render_alarm_line(v).index('"a"') < render_alarm_line(v).index('"b"')
+        assert render_alarm_line(1, v) == render_alarm_line(1, v)
+        assert render_alarm_line(1, v).index('"a"') < render_alarm_line(1, v).index('"b"')

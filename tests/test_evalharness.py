@@ -19,16 +19,18 @@ from conftest import graded_models, make_record
 
 
 def _verdict(line_id, label):
-    return Verdict(line_id=line_id, label=label, prediction_set={}, max_p=0.0)
+    return line_id, Verdict(label=label, prediction_set={}, max_p=0.0)
 
 
-def score_metrics(verdicts: list[Verdict], labels: dict[int, str]) -> Metrics:
-    """Confusion counts with the anomaly label as the positive class."""
-    if {v.line_id for v in verdicts} != set(labels):
+def score_metrics(scored: list[tuple[int, Verdict]],
+                  labels: dict[int, str]) -> Metrics:
+    """Confusion counts over (line id, verdict) pairs with the anomaly label
+    as the positive class."""
+    if {line_id for line_id, _ in scored} != set(labels):
         raise LabelMismatch("verdicts and labels cover different line ids")
     tp = fp = fn = tn = 0
-    for v in verdicts:
-        truth_anomaly = labels[v.line_id] == ANOMALY
+    for line_id, v in scored:
+        truth_anomaly = labels[line_id] == ANOMALY
         called_anomaly = v.label == ANOMALY
         if called_anomaly and truth_anomaly:
             tp += 1
@@ -272,7 +274,9 @@ class TestSweep:
         verdicts = detect_batch(models, corpus.test_records,
                                 DetectorConfig(epsilon=0.4))
         test_labels = {i: corpus.labels[i] for i in corpus.test_ids}
-        direct = score_metrics(verdicts, test_labels)
+        direct = score_metrics([(r.line_id, v) for r, v in
+                                zip(corpus.test_records, verdicts, strict=True)],
+                               test_labels)
         swept = next(r.metrics for r in rows
                      if r.configuration == "ensemble" and r.epsilon == 0.4)
         assert (direct.tp, direct.fp, direct.fn, direct.tn) == \

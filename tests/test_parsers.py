@@ -145,6 +145,8 @@ class TestParamsFromDict:
         ("spell", {"lcs_threshold": float("nan")}),
         ("logcluster", {"min_support": 1}),
         ("iplom", [("lower_bound", 0.1)]),
+        ("drain", []),
+        ("drain", False),
     ])
     def test_invalid_overrides_rejected(self, name, overrides):
         with pytest.raises(InvalidSpec):
