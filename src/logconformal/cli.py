@@ -29,19 +29,15 @@ EXIT_BUNDLE = 4
 _CONFIG_ERRORS = (MalformedFormat, UnknownParser, InvalidSpec)
 
 
-class _ConfigError(Exception):
-    pass
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise _ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidSpec(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _ConfigError(f"config {path} must hold a JSON object")
+        raise InvalidSpec(f"config {path} must hold a JSON object")
     return doc
 
 
@@ -52,7 +48,7 @@ def _setting(cfg: dict, key: str, given=None, default=None, check=None):
     section, _, name = key.rpartition(".")
     doc = cfg.get(section, {}) if section else cfg
     if not isinstance(doc, dict):
-        raise _ConfigError(f"{section} must be an object, got {doc!r}")
+        raise InvalidSpec(f"{section} must be an object, got {doc!r}")
     if given is None:
         if name not in doc:
             return default
@@ -64,40 +60,40 @@ def _level(value, what: str):
     """A significance level: a number in [0, 1], returned unchanged."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not 0.0 <= value <= 1.0:
-        raise _ConfigError(f"{what} must be a number in [0, 1], got {value!r}")
+        raise InvalidSpec(f"{what} must be a number in [0, 1], got {value!r}")
     return value
 
 
 def _count(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _ConfigError(f"{what} must be an integer, got {value!r}")
+        raise InvalidSpec(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def _path(value, what: str) -> str:
     if not isinstance(value, str) or not value:
-        raise _ConfigError(f"{what} must be a non-empty string, got {value!r}")
+        raise InvalidSpec(f"{what} must be a non-empty string, got {value!r}")
     return value
 
 
 def _output(value, what: str) -> str:
     parent = Path(_path(value, what)).parent
     if not parent.is_dir():
-        raise _ConfigError(f"{what} {value!r}: directory {parent} does not exist")
+        raise InvalidSpec(f"{what} {value!r}: directory {parent} does not exist")
     return value
 
 
 def _grid(value, what: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
-        raise _ConfigError(f"{what} must be a list of numbers, got {value!r}")
+        raise InvalidSpec(f"{what} must be a list of numbers, got {value!r}")
     if not value:
-        raise _ConfigError(f"{what} must hold at least one epsilon")
+        raise InvalidSpec(f"{what} must hold at least one epsilon")
     return tuple(_level(eps, "grid value") for eps in value)
 
 
 def _schema_part(value, what: str):
     if not isinstance(value, str if what == "format_template" else list):
-        raise _ConfigError("format_template must be a string and mask_rules a list")
+        raise InvalidSpec("format_template must be a string and mask_rules a list")
     return value
 
 
@@ -105,9 +101,9 @@ def _required(cfg: dict, key: str, given, what: str, flag: str, exists=True) -> 
     """A needed path: ``--<flag>``, else ``paths.<key>``; on disk if ``exists``."""
     path = _setting(cfg, f"paths.{key}", given, check=_path)
     if path is None:
-        raise _ConfigError(f"no {what} (use --{flag} or paths.{key})")
+        raise InvalidSpec(f"no {what} (use --{flag} or paths.{key})")
     if exists and not Path(path).exists():
-        raise _ConfigError(f"{what} {path} does not exist")
+        raise InvalidSpec(f"{what} {path} does not exist")
     return path
 
 
@@ -126,7 +122,7 @@ def _parser_selection(cfg: dict) -> list[tuple[str, object]]:
     from . import parsers
     wanted = _setting(cfg, "parsers", default={})
     if not isinstance(wanted, dict):
-        raise _ConfigError("parsers must be an object of name -> parameters")
+        raise InvalidSpec("parsers must be an object of name -> parameters")
     wanted = wanted or dict.fromkeys(parsers.PARSER_NAMES)  # absent or {}: all at defaults
     return [(name, parsers.params_from_dict(name, overrides))
             for name, overrides in wanted.items()]
@@ -139,7 +135,7 @@ def _synth_corpus(cfg: dict, args):
     from . import evalharness
     profile = _setting(cfg, "synth.profile", args.profile, "iiot")
     if not isinstance(profile, str) or profile not in evalharness.PROFILES:
-        raise _ConfigError(f"unknown profile {profile!r}")
+        raise InvalidSpec(f"unknown profile {profile!r}")
     sizes = {key: _setting(cfg, f"synth.{key}", getattr(args, flag, None), default, _count)
              for key, flag, default in (("n_train", "train", 10000),
                                         ("n_test", "test", 1000),
@@ -171,7 +167,7 @@ def _train_models(selection, records):
 def cmd_synth(args) -> int:
     from . import evalharness
     if not args.out:
-        raise _ConfigError("synth requires --out")
+        raise InvalidSpec("synth requires --out")
     corpus = _synth_corpus(_load_config(args.config), args)
     paths = evalharness.write_corpus(corpus, args.out)
     print(f"wrote {len(corpus.raw_lines)} lines "
@@ -210,7 +206,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     from . import conformal, detector
     cfg = _load_config(args.config)
-    eps = float(_setting(cfg, "epsilon", args.epsilon, 0.27, _level))
+    eps = float(_setting(cfg, "epsilon", args.epsilon, detector.DetectorConfig.epsilon, _level))
     model_path = _required(cfg, "model", args.model, "model bundle", "model", exists=False)
     input_path = _required(cfg, "test", args.input, "detection input", "input")
     out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _output)
@@ -235,7 +231,7 @@ def cmd_eval(args) -> int:
         try:
             grid = [float(x) for x in grid.split(",")]
         except ValueError as exc:
-            raise _ConfigError(f"bad grid {args.grid!r}") from exc
+            raise InvalidSpec(f"bad grid {args.grid!r}") from exc
     grid = _setting(cfg, "grid", grid, evalharness.DEFAULT_GRID, _grid)
     out_path = _setting(cfg, "paths.report", args.out, "sweep.csv", _output)
     selection = _parser_selection(cfg)
@@ -243,11 +239,11 @@ def cmd_eval(args) -> int:
     sources = [_setting(cfg, f"paths.{key}", check=_path) for key in keys]
     if any(sources) and not all(sources):
         missing = ", ".join(f"paths.{k}" for k, src in zip(keys, sources) if not src)
-        raise _ConfigError(f"eval reads a corpus from files only when paths.corpus, "
+        raise InvalidSpec(f"eval reads a corpus from files only when paths.corpus, "
                            f"paths.labels and paths.split are all set; missing {missing}")
     for flag in ("seed", "profile") if all(sources) else ("format",):
         if getattr(args, flag) is not None:  # a flag the corpus source would not read
-            raise _ConfigError(f"--{flag} does not apply to eval on a "
+            raise InvalidSpec(f"--{flag} does not apply to eval on a "
                                f"{'corpus from files' if all(sources) else 'synthetic corpus'}")
     if all(sources):
         schema = _schema_from_config(cfg, args.format)
@@ -327,7 +323,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (_ConfigError, *_CONFIG_ERRORS) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BundleError as exc:

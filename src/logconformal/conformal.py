@@ -22,7 +22,7 @@ from .errors import (BundleError, EmptyCorpus, InvalidSpec, MalformedFormat,
 from .ingest import HeaderSchema, compile_schema
 from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
-from .templates import EventTemplate, TemplateSet
+from .templates import EventTemplate, TemplateSet, ids_by_tokens
 
 BUNDLE_VERSION = 1
 
@@ -89,12 +89,9 @@ def calibrate(ts: TemplateSet, training) -> CalibrationModel:
         raise EmptyCorpus("no calibration records")
 
     calib: dict[str, list[float]] = {t.template_id: [] for t in ts.templates}
-    cache: dict[tuple[str, ...], tuple[str, float]] = {}
-    for rec in training:
-        hit = cache.get(rec.tokens)
-        if hit is None:
-            hit = cache[rec.tokens] = nearest(ts, rec.tokens)
-        calib[hit[0]].append(hit[1])
+    for tokens, ids in ids_by_tokens(training).items():
+        template_id, score = nearest(ts, tokens)
+        calib[template_id] += [score] * len(ids)
     for scores in calib.values():
         scores.sort()
     return CalibrationModel(template_set=ts, calib=calib)

@@ -35,6 +35,11 @@ class Verdict:
     error: str | None = None
 
 
+def label_of(max_p: float, epsilon: float) -> str:
+    """The alarm rule: ANOMALY iff the largest p-value is below epsilon."""
+    return ANOMALY if max_p < epsilon else NORMAL
+
+
 def decide(psets: list[PValueSet], cfg: DetectorConfig) -> Verdict:
     """Filter each parser's p-values at epsilon and label the record.
 
@@ -52,8 +57,7 @@ def decide(psets: list[PValueSet], cfg: DetectorConfig) -> Verdict:
         prediction[pset.parser_name] = [(tid, p) for tid, p in pset.pvalues.items()
                                         if p >= eps] if top >= eps else []
     max_p = max(tops)
-    label = ANOMALY if max_p < eps else NORMAL
-    return Verdict(label=label, prediction_set=prediction, max_p=max_p)
+    return Verdict(label=label_of(max_p, eps), prediction_set=prediction, max_p=max_p)
 
 
 def pvalue_sets_for(models: list[CalibrationModel], record) -> list[PValueSet]:

@@ -46,7 +46,7 @@ class LabelMismatch(LogConformalError):
 
 
 class InvalidSpec(LogConformalError):
-    """Corpus synthesis or parser parameters are invalid or inconsistent."""
+    """A configuration value, corpus spec or parser parameter is invalid or inconsistent."""
 
 
 class BundleError(LogConformalError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .conformal import CalibrationModel, pvalues_for
-from .detector import ANOMALY, NORMAL
+from .detector import ANOMALY, NORMAL, label_of
 from .errors import InvalidSpec, LabelMismatch
 from .ingest import (PROFILE_FORMATS, HeaderSchema, LogRecord, compile_schema,
                      open_log, read_records)
@@ -284,10 +284,10 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
     The log is read as ``train`` and ``detect`` read theirs (see
     :func:`~logconformal.ingest.open_log`), so line ids agree with theirs.
     Raises :class:`LabelMismatch` when a sidecar row is malformed, a label is
-    neither ``normal`` nor ``anomaly``, a label id appears twice, a split
-    part is neither ``train`` nor ``test``, a split id names no line or
-    appears twice, the split leaves a line out or lists no test line, a test
-    line has no label, or a training line is not labeled normal.
+    neither ``normal`` nor ``anomaly``, a split part is neither ``train`` nor
+    ``test``, a label or split id names no line or appears twice, the split
+    leaves a line out or lists no test line, a test line has no label, or a
+    training line is not labeled normal.
     """
     with open_log(log_path) as fh:
         raw_lines = fh.read().split("\n")
@@ -299,6 +299,8 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
         if label not in (NORMAL, ANOMALY):
             raise LabelMismatch(f"label {label!r} of line {line_id} is neither "
                                 f"'normal' nor 'anomaly'")
+        if not 1 <= line_id <= len(records):
+            raise LabelMismatch(f"label line {line_id} is not in {log_path}")
         if line_id in labels:
             raise LabelMismatch(f"label line {line_id} appears more than once")
         labels[line_id] = label
@@ -364,19 +366,20 @@ def significance_sweep(models: list[CalibrationModel], corpus: LabeledCorpus,
                        eps_grid=DEFAULT_GRID) -> list[SweepRow]:
     """Evaluate each parser alone and the ensemble at every epsilon.
 
-    A parser finds a record normal iff its maximal p-value reaches epsilon,
-    so each distinct token sequence's per-parser maxima are computed once,
-    and test lines are tallied by (maxima, truth) before the grid is walked:
-    every cell costs one pass over the tally, not over the lines.
+    A configuration labels a record by ``label_of`` its members' largest
+    p-value, so each distinct token sequence's per-parser maxima are computed
+    once, and test lines are tallied by (maxima, truth) before the grid is
+    walked: every cell costs one pass over the tally, not over the lines.
     """
+    # a map of its own, not ``ids_by_tokens``: ``pvalues_for`` takes a record
     max_p_of: dict[tuple[str, ...], tuple[float, ...]] = {}
-    tally: Counter[tuple[tuple[float, ...], bool]] = Counter()
+    tally: Counter[tuple[tuple[float, ...], str]] = Counter()
     for rec in corpus.test_records:
         max_p = max_p_of.get(rec.tokens)
         if max_p is None:
             max_p = tuple(pvalues_for(m, rec).max_p() for m in models)
             max_p_of[rec.tokens] = max_p
-        tally[max_p, corpus.labels[rec.line_id] == ANOMALY] += 1
+        tally[max_p, corpus.labels[rec.line_id]] += 1
 
     configurations = [(m.parser_name, [k]) for k, m in enumerate(models)]
     configurations.append(("ensemble", list(range(len(models)))))
@@ -384,19 +387,13 @@ def significance_sweep(models: list[CalibrationModel], corpus: LabeledCorpus,
     rows = []
     for config_name, members in configurations:
         for eps in eps_grid:
-            tp = fp = fn = tn = 0
-            for (max_p, is_anomaly), count in tally.items():
-                alarmed = all(max_p[k] < eps for k in members)
-                if alarmed and is_anomaly:
-                    tp += count
-                elif alarmed:
-                    fp += count
-                elif is_anomaly:
-                    fn += count
-                else:
-                    tn += count
-            rows.append(SweepRow(configuration=config_name, epsilon=eps,
-                                 metrics=Metrics(tp=tp, fp=fp, fn=fn, tn=tn)))
+            cells: Counter[tuple[str, str]] = Counter()
+            for (max_p, truth), count in tally.items():
+                called = label_of(max((max_p[k] for k in members), default=0.0), eps)
+                cells[called, truth] += count
+            metrics = Metrics(tp=cells[ANOMALY, ANOMALY], fp=cells[ANOMALY, NORMAL],
+                              fn=cells[NORMAL, ANOMALY], tn=cells[NORMAL, NORMAL])
+            rows.append(SweepRow(configuration=config_name, epsilon=eps, metrics=metrics))
     return rows
 
 

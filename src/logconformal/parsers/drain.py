@@ -19,19 +19,11 @@ literal child that now captures it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..templates import WILDCARD
+from ..templates import WILDCARD, Group, merged
 
 
 def _has_digit(token: str) -> bool:
     return any(ch.isdigit() for ch in token)
-
-
-@dataclass
-class _Cluster:
-    template: list[str]
-    member_ids: list[int] = field(default_factory=list)
 
 
 class _Node:
@@ -39,7 +31,7 @@ class _Node:
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
-        self.clusters: list[_Cluster] = []
+        self.clusters: list[Group] = []
 
 
 class DrainTree:
@@ -50,7 +42,7 @@ class DrainTree:
         self.sim_threshold = sim_threshold
         self.max_children = max_children
         self.root = _Node()
-        self.clusters: list[_Cluster] = []
+        self.clusters: list[Group] = []
         # bumped on every new cluster and every template change
         self.version = 0
 
@@ -69,7 +61,7 @@ class DrainTree:
                 same += 1
         return same / len(template), params
 
-    def _search(self, tokens) -> _Cluster | None:
+    def _search(self, tokens) -> Group | None:
         node = self.root.children.get(str(len(tokens)))
         if node is None:
             return None
@@ -89,7 +81,7 @@ class DrainTree:
             return best
         return None
 
-    def _insert(self, cluster: _Cluster):
+    def _insert(self, cluster: Group):
         node = self.root.children.setdefault(str(len(cluster.template)), _Node())
         for tok in self._path_tokens(cluster.template):
             key = WILDCARD if _has_digit(tok) else tok
@@ -106,18 +98,17 @@ class DrainTree:
                 node = node.children.setdefault(WILDCARD, _Node())
         node.clusters.append(cluster)
 
-    def add(self, tokens, line_id: int) -> _Cluster:
+    def add(self, tokens, line_id: int) -> Group:
         cluster = self._search(tokens)
         if cluster is None:
-            cluster = _Cluster(template=list(tokens))
+            cluster = Group(template=list(tokens))
             self.clusters.append(cluster)
             self._insert(cluster)
             self.version += 1
         else:
-            merged = [t if t == o or t == WILDCARD else WILDCARD
-                      for t, o in zip(cluster.template, tokens)]
-            if merged != cluster.template:
-                cluster.template = merged
+            template = merged(cluster.template, tokens)
+            if template != cluster.template:
+                cluster.template = template
                 self.version += 1
         cluster.member_ids.append(line_id)
         return cluster
@@ -129,7 +120,7 @@ def fit_drain(records, *, depth: int, sim_threshold: float, max_children: int):
                      max_children=max_children)
     # tokens -> (cluster, tree version) after an add that changed nothing;
     # while the version holds, the same tokens would take the same path
-    settled: dict[tuple[str, ...], tuple[_Cluster, int]] = {}
+    settled: dict[tuple[str, ...], tuple[Group, int]] = {}
     for rec in records:
         hit = settled.get(rec.tokens)
         if hit is not None and hit[1] == tree.version:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from ..templates import WILDCARD
+from ..templates import WILDCARD, ids_by_tokens
 
 
 def _lines(rows) -> int:
@@ -66,17 +66,12 @@ def _split_by_position(rows, pos):
     return [by_value[key] for key in by_value]
 
 
-def _goodness(rows) -> float:
-    distinct = _distinct_per_position(rows)
-    return sum(1 for d in distinct if len(d) == 1) / len(distinct)
-
-
 def _step2(rows, upper_bound):
     if len(rows) <= 1:
         return [rows]
-    if _goodness([r[0] for r in rows]) >= upper_bound:
-        return [rows]
     distinct = _distinct_per_position([r[0] for r in rows])
+    if sum(len(d) == 1 for d in distinct) / len(distinct) >= upper_bound:
+        return [rows]
     pos = min(range(len(distinct)), key=lambda i: (len(distinct[i]), i))
     if len(distinct[pos]) <= 1:
         return [rows]
@@ -112,11 +107,8 @@ def _step3(rows, lower_bound):
 def fit_iplom(records, *, partition_support_threshold: float,
               lower_bound: float, upper_bound: float):
     """Partition records; returns a list of (template_tokens, line_ids)."""
-    ids_of: dict[tuple[str, ...], list[int]] = {}
-    for rec in records:
-        ids_of.setdefault(rec.tokens, []).append(rec.line_id)
     by_count: dict[int, list] = defaultdict(list)
-    for row in ids_of.items():
+    for row in ids_by_tokens(records).items():
         by_count[len(row[0])].append(row)
 
     final = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..templates import WILDCARD
+from ..templates import WILDCARD, ids_by_tokens
 
 
 def fit_logcluster(records, *, min_support: int):
@@ -21,9 +21,7 @@ def fit_logcluster(records, *, min_support: int):
     Each distinct token sequence is keyed once; a word's support is the
     number of lines, over all distinct sequences, that contain it.
     """
-    ids_of: dict[tuple[str, ...], list[int]] = {}
-    for rec in records:
-        ids_of.setdefault(rec.tokens, []).append(rec.line_id)
+    ids_of = ids_by_tokens(records)
     support: Counter = Counter()
     for tokens, ids in ids_of.items():
         lines = len(ids)

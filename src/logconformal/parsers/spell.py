@@ -10,15 +10,7 @@ before join the same group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..templates import WILDCARD
-
-
-@dataclass
-class _Group:
-    template: list[str]
-    member_ids: list[int] = field(default_factory=list)
+from ..templates import WILDCARD, Group, ids_by_tokens, merged
 
 
 def lcs_length(a, b) -> int:
@@ -39,11 +31,8 @@ def lcs_length(a, b) -> int:
 
 def fit_spell(records, *, lcs_threshold: float):
     """Group records; returns (template, line_ids) pairs in creation order."""
-    ids_of: dict[tuple[str, ...], list[int]] = {}
-    for rec in records:
-        ids_of.setdefault(rec.tokens, []).append(rec.line_id)
-    groups: list[_Group] = []
-    for tokens, ids in ids_of.items():
+    groups: list[Group] = []
+    for tokens, ids in ids_by_tokens(records).items():
         best = None
         best_len = 0
         for cand in groups:
@@ -54,11 +43,10 @@ def fit_spell(records, *, lcs_threshold: float):
             if common > best_len:
                 best, best_len = cand, common
         if best is not None and best_len >= lcs_threshold * len(tokens):
-            best.template = [t if t == o or t == WILDCARD else WILDCARD
-                             for t, o in zip(best.template, tokens)]
+            best.template = merged(best.template, tokens)
             group = best
         else:
-            group = _Group(template=list(tokens))
+            group = Group(template=list(tokens))
             groups.append(group)
         group.member_ids.extend(ids)
     return [(g.template, g.member_ids) for g in groups]

@@ -1,4 +1,4 @@
-"""Event-template containers shared by every parser backend.
+"""Event-template containers and the grouping steps shared by the parsers.
 
 All four parsers emit templates in one common shape: a sequence of tokens
 where each token is either a literal word or the single-token wildcard
@@ -7,10 +7,33 @@ where each token is either a literal word or the single-token wildcard
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 WILDCARD = "<*>"
+
+
+def ids_by_tokens(records) -> dict[tuple[str, ...], list[int]]:
+    """Each distinct token tuple in first-seen order, with the line ids of
+    its records in input order."""
+    ids: dict[tuple[str, ...], list[int]] = {}
+    for rec in records:
+        ids.setdefault(rec.tokens, []).append(rec.line_id)
+    return ids
+
+
+def merged(template, tokens) -> list[str]:
+    """The template with every position where ``tokens`` differs made a
+    wildcard; a wildcard stays one."""
+    return [t if t == o else WILDCARD for t, o in zip(template, tokens)]
+
+
+@dataclass
+class Group:
+    """A miner's growing group: its current template and its members' ids."""
+
+    template: list[str]
+    member_ids: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,13 +36,15 @@ def _config(tmp_path, **extra):
 
 
 def _run_cli(*argv):
-    """Run the CLI in a child process, importing the package this test uses."""
+    """Run the CLI in a child process, importing the package this test uses,
+    in a fresh working directory so that a default output path lands there."""
     pkg_dir = str(Path(logconformal.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(
         p for p in (pkg_dir, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "logconformal.cli", *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    with tempfile.TemporaryDirectory() as cwd:
+        return subprocess.run([sys.executable, "-m", "logconformal.cli", *argv],
+                              capture_output=True, text=True, cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=pythonpath))
 
 
 @pytest.fixture

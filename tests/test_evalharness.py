@@ -132,8 +132,10 @@ class TestSynthCorpus:
          "labels.csv, line 4: '3,anomaly,x' is not"),
         ("1,normal\n2,normal\n3,anomaly\n", "1,train\ntwo,train\n3,test\n",
          "split.csv, line 3: 'two,train' is not"),
+        ("1,normal\n2,normal\n3,anomaly\n99999,anomaly\n", "1,train\n2,train\n3,test\n",
+         "label line 99999 is not in .*corpus.log"),
     ], ids=["split-leaves-line-out", "split-without-test-line",
-            "row-with-three-fields", "non-integer-id"])
+            "row-with-three-fields", "non-integer-id", "label-names-no-line"])
     def test_bad_sidecar_names_the_cause(self, tmp_path, labels, split, message):
         log = tmp_path / "corpus.log"
         log.write_text("S1 a\nS1 a\nS1 b\n", encoding="utf-8")
