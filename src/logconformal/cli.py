@@ -185,7 +185,8 @@ def cmd_train(args) -> int:
     model_path = _setting(cfg, "paths.model", args.model, "model.bundle", _output)
     selection = _parser_selection(cfg)
 
-    records = _trainable(*read_log_file(input_path, schema))
+    records = _trainable(*read_log_file(input_path, schema,
+                                        headers=chain_path is not None))
     if not records:
         raise EmptyCorpus(f"no parsable records in {input_path}")
     # a store that fails verification stops train before any fit, and the

@@ -282,7 +282,9 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
     """Rehydrate a corpus written by :func:`write_corpus`.
 
     The log is read as ``train`` and ``detect`` read theirs (see
-    :func:`~logconformal.ingest.open_log`), so line ids agree with theirs.
+    :func:`~logconformal.ingest.open_log`), so line ids agree with theirs,
+    and without header fields, which no parser and no sweep reads.
+
     Raises :class:`LabelMismatch` when a sidecar row is malformed, a label is
     neither ``normal`` nor ``anomaly``, a split part is neither ``train`` nor
     ``test``, a label or split id names no line or appears twice, the split
@@ -293,7 +295,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
         raw_lines = fh.read().split("\n")
     if raw_lines[-1] == "":
         raw_lines.pop()
-    records, _ = read_records(raw_lines, schema, on_error="raise")
+    records, _ = read_records(raw_lines, schema, on_error="raise", headers=False)
     labels: dict[int, str] = {}
     for line_id, label in _sidecar_rows(labels_path):
         if label not in (NORMAL, ANOMALY):

@@ -21,12 +21,18 @@ import functools
 import json
 import re
 import struct
+import types
+from collections.abc import Mapping
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import AppendFailed, MalformedFormat, UnparsableLine
 
 _FIELD = re.compile(r"<([^<>]+)>")
+
+# The headers of every record read without header fields: one shared,
+# read-only empty mapping.
+NO_HEADERS = types.MappingProxyType({})
 
 GENESIS_DIGEST = b"\x00" * 32
 
@@ -54,10 +60,11 @@ class HeaderSchema(NamedTuple):
 
 
 class LogRecord(NamedTuple):
-    """One preprocessed log line."""
+    """One preprocessed log line; ``headers`` is :data:`NO_HEADERS` when the
+    line was read without its header fields."""
 
     line_id: int
-    headers: dict[str, str]
+    headers: Mapping[str, str]
     content: str
     tokens: tuple[str, ...]
 
@@ -109,13 +116,13 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
                         pattern=pattern, mask_rules=tuple(compiled_masks))
 
 
-def _split(line: str, schema: HeaderSchema) -> tuple[dict[str, str], str]:
-    """The header fields and the unmasked content of one raw line."""
+def _match(line: str, schema: HeaderSchema) -> re.Match:
+    """The schema's match of one raw line, its line break stripped; raises
+    :class:`UnparsableLine` when the line does not match."""
     m = schema.pattern.match(line.rstrip("\r\n"))
     if m is None:
         raise UnparsableLine(line)
-    headers = m.groupdict()
-    return headers, headers.pop("Content")
+    return m
 
 
 def _mask(content: str, schema: HeaderSchema) -> tuple[str, ...]:
@@ -131,11 +138,13 @@ def preprocess(line: str, schema: HeaderSchema, line_id: int = 1) -> LogRecord:
     Raises :class:`UnparsableLine` when the line does not match the schema.
     The unmasked content is kept verbatim on the record.
     """
-    headers, content = _split(line, schema)
+    headers = _match(line, schema).groupdict()
+    content = headers.pop("Content")
     return LogRecord(line_id, headers, content, _mask(content, schema))
 
 
-def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
+def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
+                 headers: bool = True):
     """Preprocess an iterable of raw lines, assigning 1-based line ids.
 
     ``on_error="skip"`` drops unparsable lines and counts them;
@@ -145,6 +154,11 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
     once per distinct content, and the records share one object per
     distinct header value, content and token tuple. Both maps hold only
     objects the records hold and live for this call.
+
+    With ``headers=False`` no header field is parsed: every record holds
+    :data:`NO_HEADERS` and otherwise equals the one read with headers. The
+    parsers mine templates from the content alone, so only a record bound
+    for the chain store needs its header fields.
     """
     records: list[LogRecord] = []
     skipped = 0
@@ -155,19 +169,24 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip"):
     keep = shared.setdefault
     for line_id, raw in enumerate(lines, 1):
         try:
-            headers, content = _split(raw, schema)
+            m = _match(raw, schema)
         except UnparsableLine:
             if on_error == "raise":
                 raise
             skipped += 1
             continue
-        for key, value in headers.items():
-            headers[key] = keep(value, value)
+        if headers:
+            fields = m.groupdict()
+            content = fields.pop("Content")
+            for key, value in fields.items():
+                fields[key] = keep(value, value)
+        else:
+            fields, content = NO_HEADERS, m["Content"]
         known = memo.get(content)
         if known is None:
             tokens = _mask(content, schema)
             known = memo[content] = (content, keep(tokens, tokens))
-        records.append(LogRecord(line_id, headers, *known))
+        records.append(LogRecord(line_id, fields, *known))
     return records, skipped
 
 
@@ -176,11 +195,16 @@ def open_log(path):
     return open(path, "r", encoding="utf-8", errors="replace")
 
 
-def read_log_file(path, schema: HeaderSchema):
+def read_log_file(path, schema: HeaderSchema, headers: bool = False):
     """Read a UTF-8 log file (invalid bytes replaced), one record per line,
-    skipping and counting unparsable lines."""
+    skipping and counting unparsable lines.
+
+    Header fields are parsed only with ``headers=True``: of the commands,
+    only ``train`` with a chain store reads them, to write each record whole
+    into the store. Otherwise each record holds :data:`NO_HEADERS`.
+    """
     with open_log(path) as fh:
-        return read_records(fh, schema)
+        return read_records(fh, schema, headers=headers)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +315,18 @@ class ChainStore:
         store then holds a torn tail, which :func:`verify_chain` reports, and
         every later append raises :class:`AppendFailed` too, since an entry
         written after torn bytes could never verify.
+
+        A record read without its header fields (its ``headers`` is
+        :data:`NO_HEADERS`) would chain a payload that lacks them: it raises
+        :class:`AppendFailed` before any byte is written, and the store
+        takes later records as before.
         """
         if self._failed is not None:
             raise AppendFailed(f"entry {self._failed} failed to append; "
                                f"the store takes no more entries")
+        if record.headers is NO_HEADERS:
+            raise AppendFailed(f"line {record.line_id} was read without its "
+                               f"header fields; read it with headers=True")
         index = self._next_index
         prev = self._prev_digest
         index8 = _u64(index)
@@ -371,6 +403,7 @@ def verify_chain(path) -> VerificationReport:
     parsing breaks down.
     """
     path = Path(path)
-    if not path.exists():
+    data = path.read_bytes() if path.exists() else b""
+    if not data:  # no frame to hash, so no need to load OpenSSL
         return VerificationReport(valid=True, first_bad_index=None, entries=0)
-    return _scan_chain(path.read_bytes())[0]
+    return _scan_chain(data)[0]

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logconformal
-from logconformal import cli, conformal, detector, evalharness
+from logconformal import cli, conformal, detector, evalharness, parsers
 from logconformal.cli import main
 from logconformal.detector import ANOMALY, DetectorConfig, render_alarm_line
 from logconformal.evalharness import IIOT_PROFILE
-from logconformal.ingest import compile_schema
+from logconformal.ingest import NO_HEADERS, ChainStore, compile_schema
 from logconformal.templates import WILDCARD
 
 from conftest import graded_models, make_record
@@ -819,3 +819,57 @@ def test_eval_trains_on_the_lines_train_trains_on(tmp_path, monkeypatch, capsys)
         "warning: skipped 1 unparsable or empty lines\n"
     assert trained_on[0] == trained_on[1]
     assert [r.line_id for r in trained_on[0]] == [1, 2, *range(4, 51)]
+
+
+def _records_by_layer(monkeypatch) -> dict[str, list]:
+    """Record, by layer, every record a layer function is handed."""
+    seen = {}
+
+    def capture(owner, attr, pick):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            seen.setdefault(attr, []).extend(pick(*args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+    capture(parsers, "fit", lambda name, params, records: records)
+    capture(conformal, "calibrate", lambda ts, records: records)
+    capture(detector, "detect_batch", lambda models, records, cfg: records)
+    capture(detector, "write_alarms", lambda fh, records, verdicts: records)
+    capture(evalharness, "significance_sweep", lambda models, corpus, grid: corpus.records)
+    capture(ChainStore, "append", lambda store, record: [record])
+    return seen
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("train", {"fit", "calibrate"}),
+    ("train with a chain", {"fit", "calibrate", "append"}),
+    ("detect", {"detect_batch", "write_alarms"}),
+    ("eval from files", {"fit", "calibrate", "significance_sweep"}),
+])
+def test_only_a_chain_payload_reads_header_fields(workdir, monkeypatch, command, layers):
+    """Every layer gets records without header fields, except under ``train``
+    with a chain store, whose payloads hold them."""
+    tmp_path, cfg = workdir
+    corpus = tmp_path / "corpus"
+    bundle = tmp_path / "m.bundle"
+    assert main(["train", "--config", str(cfg), "--input", str(corpus / "train.log"),
+                 "--model", str(bundle)]) == 0
+    paths = {"train with a chain": {"chain": str(tmp_path / "audit.chain")},
+             "eval from files": {"corpus": str(corpus / "corpus.log"),
+                                 "labels": str(corpus / "labels.csv"),
+                                 "split": str(corpus / "split.csv")}}
+    cfg = _config(tmp_path, paths=paths.get(command, {}))
+    argv = {"train": ["--input", str(corpus / "train.log"), "--model", str(bundle)],
+            "detect": ["--input", str(corpus / "test.log"), "--model", str(bundle),
+                       "--out", str(tmp_path / "alarms.jsonl")],
+            "eval": ["--out", str(tmp_path / "sweep.csv")]}[command.split()[0]]
+    seen = _records_by_layer(monkeypatch)
+    assert main([command.split()[0], "--config", str(cfg), *argv]) == 0
+    assert set(seen) == layers
+    for records in seen.values():
+        assert records
+        if command == "train with a chain":
+            assert all(type(r.headers) is dict and "SysId" in r.headers for r in records)
+        else:
+            assert all(r.headers is NO_HEADERS for r in records)

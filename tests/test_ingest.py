@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logconformal.errors import AppendFailed, MalformedFormat, UnparsableLine
-from logconformal.ingest import (TOKENS_CACHE_SIZE, ChainedEntry, ChainStore,
-                                 LogRecord, _frames, _record_payload,
+from logconformal.ingest import (NO_HEADERS, TOKENS_CACHE_SIZE, ChainedEntry,
+                                 ChainStore, LogRecord, _frames, _record_payload,
                                  compile_schema, preprocess, read_log_file,
                                  read_records, verify_chain)
 
@@ -230,6 +230,36 @@ class TestReadRecordsMemo:
             for value in values:
                 assert first.setdefault(value, value) is value
 
+    @settings(max_examples=300)
+    @given(lines=_memo_lines,
+           rules=st.lists(st.sampled_from(MEMO_RULES), unique=True),
+           on_error=st.sampled_from(["skip", "raise"]))
+    def test_without_headers_equals_with_headers_dropped(self, lines, rules, on_error):
+        schema = compile_schema("<SysId> <Content>", rules)
+
+        def read(**kwargs):
+            """(records, skipped), or the message of the first error."""
+            try:
+                return read_records(lines, schema, on_error=on_error, **kwargs)
+            except UnparsableLine as exc:
+                return str(exc)
+        full, bare = read(), read(headers=False)
+        if isinstance(full, str):
+            assert bare == full
+            return
+        records, skipped = full
+        assert bare == ([r._replace(headers=NO_HEADERS) for r in records], skipped)
+        assert all(r.headers is NO_HEADERS for r in bare[0])
+        for values in ([rec.tokens for rec in bare[0]], [rec.content for rec in bare[0]]):
+            first = {}
+            for value in values:
+                assert first.setdefault(value, value) is value
+
+    def test_no_headers_is_empty_and_read_only(self):
+        with pytest.raises(TypeError):
+            NO_HEADERS["SysId"] = "S1"
+        assert dict(NO_HEADERS) == {}
+
     def test_rules_apply_in_order(self):
         schema = compile_schema("<SysId> <Content>", MEMO_RULES[:2])
         lines = ["S1 a b", "S2 a b"]
@@ -401,6 +431,23 @@ class TestChainStore:
             again.append(LogRecord(line_id=4, headers={}, content="y", tokens=("y",)))
         assert path.read_bytes().startswith(flushed)
         assert verify_chain(path).entries == 4
+
+    def test_append_refuses_a_record_read_without_headers(self, tmp_path):
+        path = tmp_path / "c.bin"
+        _store_with_entries(path, 2)
+        before = path.read_bytes()
+        schema = compile_schema("<SysId> <Content>")
+        with ChainStore(path) as store:
+            (bare,), _ = read_records(["S1 pump 7 ok"], schema, headers=False)
+            with pytest.raises(AppendFailed, match="without its header fields"):
+                store.append(bare._replace(line_id=3))
+            assert path.read_bytes() == before
+            (full,), _ = read_records(["S1 pump 7 ok"], schema)
+            store.append(full._replace(line_id=3))
+        report = verify_chain(path)
+        assert report.valid and report.entries == 3
+        payload = list(_frames(path.read_bytes()))[-1][2]
+        assert json.loads(payload)["headers"] == {"SysId": "S1"}
 
     def test_reopen_continues_chain(self, tmp_path):
         path = tmp_path / "c.bin"

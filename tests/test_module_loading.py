@@ -18,6 +18,7 @@ import pytest
 import logconformal
 from logconformal import cli, evalharness
 from logconformal.cli import main
+from logconformal.ingest import ChainStore, LogRecord
 
 # every name ``logconformal/__init__.py`` imported eagerly, by defining module
 ROOT_EXPORTS = {
@@ -35,6 +36,7 @@ HASHLIB = {"hashlib", "_hashlib"}  # _hashlib loads OpenSSL's libcrypto
 _PROBE = """
 import json, sys
 from logconformal.cli import main
+from logconformal.ingest import ChainStore, LogRecord
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(sys.modules)]))
 """
@@ -70,6 +72,15 @@ def test_verify_chain_loads_only_cli_errors_and_ingest(tmp_path):
     modules = _modules_after("verify-chain", "--store", str(store))
     assert {m for m in modules if m.split(".")[0] == "logconformal"} == {
         "logconformal", "logconformal.cli", "logconformal.errors", "logconformal.ingest"}
+
+
+def test_verify_chain_loads_hashlib_only_for_a_non_empty_store(tmp_path):
+    store = tmp_path / "chain.bin"
+    store.write_bytes(b"")
+    assert not _modules_after("verify-chain", "--store", str(store)) & HASHLIB
+    with ChainStore(store) as chain:
+        chain.append(LogRecord(1, {"SysId": "S1"}, "pump ok", ("pump", "ok")))
+    assert HASHLIB <= _modules_after("verify-chain", "--store", str(store))
 
 
 def test_detect_loads_no_generator_and_no_miner(trained):
