@@ -207,7 +207,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     from . import conformal, detector
     cfg = _load_config(args.config)
-    eps = float(_setting(cfg, "epsilon", args.epsilon, detector.DetectorConfig.epsilon, _level))
+    eps = float(_setting(cfg, "epsilon", args.epsilon, detector.DetectorConfig().epsilon, _level))
     model_path = _required(cfg, "model", args.model, "model bundle", "model", exists=False)
     input_path = _required(cfg, "test", args.input, "detection input", "input")
     out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _output)

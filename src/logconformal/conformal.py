@@ -13,27 +13,31 @@ import contextlib
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (BundleError, EmptyCorpus, InvalidSpec, MalformedFormat,
                      UnknownParser, UnknownTemplate)
 from .ingest import HeaderSchema, compile_schema
 from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
-from .templates import EventTemplate, TemplateSet, ids_by_tokens
+from .templates import EventTemplate, Frozen, TemplateSet, ids_by_tokens
 
 BUNDLE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CalibrationModel:
+class CalibrationModel(Frozen):
     """Per-template reservoirs of training nonconformity scores, built whole:
-    neither the templates nor a reservoir change once the model exists."""
+    neither the templates nor a reservoir change once the model exists.
+    ``calib`` maps each template id to its scores, ascending and
+    non-negative."""
 
-    template_set: TemplateSet
-    calib: dict[str, list[float]]  # ascending and non-negative per template
+    _fields = ("template_set", "calib")
+
+    def __init__(self, template_set: TemplateSet, calib: dict[str, list[float]]):
+        vars(self).update(template_set=template_set, calib=calib)
 
     @property
     def parser_name(self) -> str:
@@ -64,12 +68,11 @@ class CalibrationModel:
         return zeros, all_zero, scored
 
 
-@dataclass
-class PValueSet:
+class PValueSet(NamedTuple):
     """One p-value per template of a parser's model, for one record."""
 
     parser_name: str
-    pvalues: dict[str, float] = field(default_factory=dict)
+    pvalues: dict[str, float] = MappingProxyType({})  # read-only: every default shares it
 
     def max_p(self) -> float:
         return max(self.pvalues.values(), default=0.0)

@@ -9,26 +9,29 @@ largest p-value over all parsers is below the level (an empty set counts as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conformal import CalibrationModel, PValueSet, pvalues_for
 from .errors import NoParsers
+from .templates import Checked
 
 NORMAL = "normal"
 ANOMALY = "anomaly"
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class _DetectorFields(NamedTuple):
     epsilon: float = 0.27
 
-    def __post_init__(self):
+
+class DetectorConfig(Checked, _DetectorFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
-@dataclass(slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     label: str
     prediction_set: dict[str, list[tuple[str, float]]]
     max_p: float
@@ -69,9 +72,9 @@ def detect_batch(models: list[CalibrationModel], records,
     """One verdict per record, order preserved.
 
     A verdict depends only on the record's tokens, so records with equal
-    tokens get the same ``Verdict`` object (p-values and one decision per
-    distinct sequence); callers must treat it as read-only and take the line
-    id from the record. Per-record failures are captured on a fresh verdict's
+    tokens get the same read-only ``Verdict`` object (p-values and one
+    decision per distinct sequence); callers take the line id from the
+    record. Per-record failures are captured on a fresh verdict's
     ``error`` field with a fail-closed anomaly label instead of aborting the
     batch; a failure is never cached, so every record of a failing token
     sequence is scored again and carries its own error.

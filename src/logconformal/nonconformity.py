@@ -16,23 +16,26 @@ zero cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyTemplateSet
-from .templates import WILDCARD, TemplateSet
+from .templates import WILDCARD, Checked, TemplateSet
 
 INSERT = "insert"
 DELETE = "delete"
 REPLACE = "replace"
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreParams:
-    """Sigmoid center, in units of token index. Must be positive."""
-
+class _ScoreFields(NamedTuple):
     v: float
 
-    def __post_init__(self):
+
+class ScoreParams(Checked, _ScoreFields):
+    """Sigmoid center, in units of token index. Must be positive."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.v > 0:
             raise ValueError(f"sigmoid center must be > 0, got {self.v}")
 

@@ -4,32 +4,35 @@ Four miners ship: drain, spell, iplom and logcluster. Each is a black box
 with one contract: ``fit_<name>(records, **params)`` in module ``<name>``
 takes a non-empty list of records, each with at least one token (``fit``
 checks both, so no miner handles an empty sequence), and the fields of its
-params dataclass as required keywords (their defaults live only on that
-class). It returns ``[(template_tokens, member_line_ids), ...]`` in
-creation order, every record in exactly one group. ``fit`` is the only
-code that turns those groups into a
-:class:`~logconformal.templates.TemplateSet`; its templates all use the
-shared literal-or-wildcard token shape, so one scoring function serves
-them all.
+params class, a validating ``NamedTuple``, as required keywords (their
+defaults live only on that class). It returns
+``[(template_tokens, member_line_ids), ...]`` in creation order, every
+record in exactly one group. ``fit`` is the only code that turns those
+groups into a :class:`~logconformal.templates.TemplateSet`; its templates
+all use the shared literal-or-wildcard token shape, so one scoring
+function serves them all.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from ..errors import EmptyCorpus, InvalidSpec, UnknownParser
 from ..nonconformity import nearest
-from ..templates import EventTemplate, TemplateSet
+from ..templates import Checked, EventTemplate, TemplateSet
 
 
-@dataclass(frozen=True)
-class DrainParams:
+class _DrainFields(NamedTuple):
     depth: int = 4
     sim_threshold: float = 0.5
     max_children: int = 100
 
-    def __post_init__(self):
+
+class DrainParams(Checked, _DrainFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.depth < 3:
             raise ValueError("depth must be at least 3")
         if not 0.0 < self.sim_threshold < 1.0:
@@ -38,22 +41,28 @@ class DrainParams:
             raise ValueError("max_children must be at least 2")
 
 
-@dataclass(frozen=True)
-class SpellParams:
+class _SpellFields(NamedTuple):
     lcs_threshold: float = 0.5
 
-    def __post_init__(self):
+
+class SpellParams(Checked, _SpellFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 < self.lcs_threshold < 1.0:
             raise ValueError("lcs_threshold must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class IPLoMParams:
+class _IPLoMFields(NamedTuple):
     partition_support_threshold: float = 0.0
     lower_bound: float = 0.25
     upper_bound: float = 0.9
 
-    def __post_init__(self):
+
+class IPLoMParams(Checked, _IPLoMFields):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 <= self.partition_support_threshold < 1.0:
             raise ValueError("partition_support_threshold must be in [0, 1)")
         if not 0.0 <= self.lower_bound <= 1.0:
@@ -62,11 +71,14 @@ class IPLoMParams:
             raise ValueError("upper_bound must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class LogClusterParams:
+class _LogClusterFields(NamedTuple):
     min_support: int = 10
 
-    def __post_init__(self):
+
+class LogClusterParams(Checked, _LogClusterFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.min_support < 2:
             raise ValueError("min_support must be at least 2")
 
@@ -90,7 +102,7 @@ def params_from_dict(parser_name: str, overrides: dict | None):
         overrides = {}
     elif not isinstance(overrides, dict):
         raise InvalidSpec(f"{parser_name} parameters must be an object")
-    defaults = {f.name: f.default for f in fields(params_cls)}
+    defaults = params_cls._field_defaults
     for key, value in overrides.items():
         if key not in defaults:
             raise InvalidSpec(f"unknown {parser_name} parameter {key!r}")
@@ -120,7 +132,7 @@ def fit(parser_name: str, params, records) -> TemplateSet:
         raise EmptyCorpus("no training records")
     if any(not rec.tokens for rec in records):
         raise ValueError("records must be tokenized; found a record with no tokens")
-    params = asdict(params or _PARAMS[parser_name]())
+    params = (params or _PARAMS[parser_name]())._asdict()
     # imported here: loading a bundle needs only the params classes
     miner = getattr(importlib.import_module(f"{__name__}.{parser_name}"),
                     f"fit_{parser_name}")

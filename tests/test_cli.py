@@ -199,6 +199,16 @@ class TestDetect:
                      "--epsilon", "0", "--out", str(alarms)]) == 0
         assert alarms.read_text() == ""
 
+    def test_detect_default_epsilon(self, trained, capsys):
+        """With neither ``--epsilon`` nor a config ``epsilon``, detect runs at
+        the detector's default level."""
+        tmp_path, cfg, bundle = trained
+        assert "epsilon" not in json.loads(cfg.read_text(encoding="utf-8"))
+        assert main(["detect", "--config", str(cfg), "--model", str(bundle),
+                     "--input", str(tmp_path / "corpus" / "test.log"),
+                     "--out", str(tmp_path / "alarms.jsonl")]) == 0
+        assert "epsilon=0.27 " in capsys.readouterr().out
+
     def test_all_normal_false_alarm_rate(self, tmp_path):
         cfg = _config(tmp_path, synth={"profile": "iiot", "n_train": 400,
                                        "n_test": 100, "n_anomalies": 0})

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -89,11 +88,11 @@ class TestBuiltWhole:
     def test_set_and_model_reject_mutation(self):
         ts, model = self._trained()
         assert isinstance(ts.templates, tuple)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ts.templates = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             model.calib = {}
-        assert [f.name for f in dataclasses.fields(model)] == ["template_set", "calib"]
+        assert list(CalibrationModel._fields) == ["template_set", "calib"]
 
 
 class TestPValue:

@@ -188,6 +188,16 @@ class TestDetectBatch:
         assert verdicts[0].error == "scoring exploded"
         assert verdicts[0].label == ANOMALY  # fail closed
 
+    def test_shared_verdict_rejects_assignment(self):
+        """Records with equal tokens share one verdict, so no caller may
+        change it."""
+        batch = [make_record(i, ["pump", "ok", "1"]) for i in (1, 2)]
+        first, second = detect_batch(_trained_models(), batch, DetectorConfig(epsilon=0.27))
+        assert first is second
+        for field in ("label", "prediction_set", "max_p", "error"):
+            with pytest.raises(AttributeError):
+                setattr(first, field, None)
+
 
 _TOKENS = st.lists(st.sampled_from(["pump", "ok", "valve", "shut", "alarm",
                                     "x", WILDCARD]),

@@ -1,5 +1,6 @@
-"""Each subcommand loads only the package modules it runs, and ``hashlib``
-only when it opens a chain; the package root still exports every public name.
+"""Each subcommand loads only the package modules it runs, ``hashlib`` only
+when it opens a chain, and ``dataclasses`` only in ``synth`` and ``eval``; the
+package root still exports every public name.
 
 A command runs in a child process, which reports the modules it has loaded
 when ``main`` returns.
@@ -32,6 +33,8 @@ ROOT_EXPORTS = {
 MINERS = {f"logconformal.parsers.{name}" for name in ("drain", "spell", "iplom",
                                                       "logcluster")}
 HASHLIB = {"hashlib", "_hashlib"}  # _hashlib loads OpenSSL's libcrypto
+# ``dataclasses`` also loads ``inspect``, ``ast``, ``dis`` and ``tokenize``
+DATACLASSES = {"dataclasses", "inspect"}
 
 _PROBE = """
 import json, sys
@@ -110,6 +113,22 @@ def test_train_with_a_chain_loads_hashlib(trained, tmp_path):
                              "--input", str(trained / "corpus" / "train.log"),
                              "--model", str(tmp_path / "m.bundle"))
     assert HASHLIB <= modules
+
+
+def test_train_detect_and_verify_chain_load_no_dataclasses(trained, tmp_path):
+    config = tmp_path / "cfg.json"
+    chain = tmp_path / "audit.chain"
+    config.write_text(json.dumps({"paths": {"chain": str(chain)}}), encoding="utf-8")
+    train = ["train", "--input", str(trained / "corpus" / "train.log"),
+             "--model", str(tmp_path / "m.bundle")]
+    one_line = tmp_path / "one.log"
+    one_line.write_text((trained / "corpus" / "test.log").read_text(
+        encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    for argv in (train, [*train, "--config", str(config)],
+                 ["detect", "--model", str(tmp_path / "m.bundle"), "--input", str(one_line),
+                  "--out", str(tmp_path / "alarms.jsonl")],
+                 ["verify-chain", "--store", str(chain)]):
+        assert not _modules_after(*argv) & DATACLASSES, argv
 
 
 def test_eval_loads_no_hashlib(tmp_path):

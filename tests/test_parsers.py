@@ -1,6 +1,5 @@
 import importlib
 import inspect
-from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,7 @@ def _fit_of(name):
 
 def _groups(name, params, records):
     """The miner's (template_tokens, member_ids) groups."""
-    return _fit_of(name)(records, **asdict(params or params_from_dict(name, None)))
+    return _fit_of(name)(records, **(params or params_from_dict(name, None))._asdict())
 
 
 def _assert_partition(records, groups):
@@ -156,6 +155,17 @@ class TestParamsFromDict:
         with pytest.raises(UnknownParser):
             params_from_dict("nope", {})
 
+    @pytest.mark.parametrize("params, bad", [
+        (DrainParams(), {"depth": 2}),
+        (SpellParams(), {"lcs_threshold": 1.0}),
+        (IPLoMParams(), {"upper_bound": 2.0}),
+        (LogClusterParams(), {"min_support": 1}),
+    ])
+    def test_replace_validates_as_the_constructor_does(self, params, bad):
+        for build in (type(params), params._replace):
+            with pytest.raises(ValueError):
+                build(**bad)
+
 
 class TestDefaultsDeclaredOnce:
     """Each parameter default lives only on its params class."""
@@ -167,7 +177,7 @@ class TestDefaultsDeclaredOnce:
         assert [(p.kind, p.default) for p in rest] == \
             [(inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.empty)] * len(rest)
         assert [p.name for p in rest] == \
-            [f.name for f in fields(type(params_from_dict(name, None)))]
+            list(type(params_from_dict(name, None))._fields)
 
     def test_drain_tree_has_no_defaults(self):
         from logconformal.parsers.drain import DrainTree
@@ -285,7 +295,7 @@ class TestPerLineEquivalence:
     @staticmethod
     def _assert_same_as_perline(name, params, rows):
         records = _corpus(rows)
-        oracle = PERLINE[name](records, **asdict(params))
+        oracle = PERLINE[name](records, **params._asdict())
         assert [(t.template_id, t.tokens, t.support)
                 for t in fit(name, params, records).templates] == \
             [(f"T{k}", tuple(tokens), len(ids))
