@@ -23,21 +23,22 @@ from .errors import (BundleError, EmptyCorpus, InvalidSpec, MalformedFormat,
 from .ingest import HeaderSchema, compile_schema
 from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
-from .templates import EventTemplate, Frozen, TemplateSet, ids_by_tokens
+from .templates import EventTemplate, TemplateSet, ids_by_tokens
 
 BUNDLE_VERSION = 1
 
 
-class CalibrationModel(Frozen):
+class _ModelFields(NamedTuple):
+    template_set: TemplateSet
+    calib: dict[str, list[float]]
+
+
+class CalibrationModel(_ModelFields):
     """Per-template reservoirs of training nonconformity scores, built whole:
     neither the templates nor a reservoir change once the model exists.
     ``calib`` maps each template id to its scores, ascending and
-    non-negative."""
-
-    _fields = ("template_set", "calib")
-
-    def __init__(self, template_set: TemplateSet, calib: dict[str, list[float]]):
-        vars(self).update(template_set=template_set, calib=calib)
+    non-negative. No ``__slots__``: the instance dict holds the cached
+    view."""
 
     @property
     def parser_name(self) -> str:

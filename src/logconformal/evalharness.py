@@ -175,6 +175,9 @@ def _header(rng: random.Random, profile: CorpusProfile, line_no: int) -> str:
 
 @dataclass
 class LabeledCorpus:
+    """``raw_lines`` holds the generated lines for :func:`write_corpus`; it is
+    empty for a corpus read from files, where nothing reads them."""
+
     records: list[LogRecord]
     labels: dict[int, str]
     train_ids: list[int]
@@ -261,13 +264,17 @@ def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
     return paths
 
 
-def _sidecar_rows(path):
-    """Yield (line id, value) for each row of a ``line_id,<value>`` sidecar.
+def _sidecar_rows(path, header):
+    """Yield (line id, value) for each row of a sidecar whose first line is
+    ``header``.
 
     Raises :class:`LabelMismatch` naming the file and the 1-based line of a
-    row that is not two comma-separated cells with an integer id.
+    first line other than ``header`` or of a row that is not two
+    comma-separated cells with an integer id.
     """
-    rows = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    if rows[0] != header:
+        raise LabelMismatch(f"{path}, line 1: {rows[0]!r} is not the header {header!r}")
     for number, row in enumerate(rows[1:], 2):
         try:
             text_id, value = row.split(",")
@@ -285,19 +292,16 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
     :func:`~logconformal.ingest.open_log`), so line ids agree with theirs,
     and without header fields, which no parser and no sweep reads.
 
-    Raises :class:`LabelMismatch` when a sidecar row is malformed, a label is
-    neither ``normal`` nor ``anomaly``, a split part is neither ``train`` nor
-    ``test``, a label or split id names no line or appears twice, the split
-    leaves a line out or lists no test line, a test line has no label, or a
-    training line is not labeled normal.
+    Raises :class:`LabelMismatch` when a sidecar's header or a row is
+    malformed, a label is neither ``normal`` nor ``anomaly``, a split part is
+    neither ``train`` nor ``test``, a label or split id names no line or
+    appears twice, the split leaves a line out or lists no test line, a test
+    line has no label, or a training line is not labeled normal.
     """
     with open_log(log_path) as fh:
-        raw_lines = fh.read().split("\n")
-    if raw_lines[-1] == "":
-        raw_lines.pop()
-    records, _ = read_records(raw_lines, schema, on_error="raise", headers=False)
+        records, _ = read_records(fh, schema, on_error="raise", headers=False)
     labels: dict[int, str] = {}
-    for line_id, label in _sidecar_rows(labels_path):
+    for line_id, label in _sidecar_rows(labels_path, "line_id,label"):
         if label not in (NORMAL, ANOMALY):
             raise LabelMismatch(f"label {label!r} of line {line_id} is neither "
                                 f"'normal' nor 'anomaly'")
@@ -308,7 +312,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
         labels[line_id] = label
     parts: dict[str, list[int]] = {"train": [], "test": []}
     seen: set[int] = set()
-    for line_id, part in _sidecar_rows(split_path):
+    for line_id, part in _sidecar_rows(split_path, "line_id,part"):
         if part not in parts:
             raise LabelMismatch(f"split part {part!r} of line {line_id} "
                                 f"is neither 'train' nor 'test'")
@@ -331,7 +335,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
         if line_id not in labels:
             raise LabelMismatch(f"test line {line_id} has no label")
     return LabeledCorpus(records=records, labels=labels, train_ids=train_ids,
-                         test_ids=test_ids, raw_lines=raw_lines, schema=schema)
+                         test_ids=test_ids, raw_lines=[], schema=schema)
 
 
 # ---------------------------------------------------------------------------

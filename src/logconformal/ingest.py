@@ -119,7 +119,8 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
 def _match(line: str, schema: HeaderSchema) -> re.Match:
     """The schema's match of one raw line, its line break stripped; raises
     :class:`UnparsableLine` when the line does not match."""
-    m = schema.pattern.match(line.rstrip("\r\n"))
+    line = line.rstrip("\r\n")
+    m = schema.pattern.match(line)
     if m is None:
         raise UnparsableLine(line)
     return m

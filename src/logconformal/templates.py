@@ -1,6 +1,5 @@
 """Event-template containers, the grouping steps shared by the parsers, and
-the two record bases the package's read-only (``Frozen``) and validating
-(``Checked``) records build on.
+``Checked``, the base of the package's validating records.
 
 All four parsers emit templates in one common shape: a sequence of tokens
 where each token is either a literal word or the single-token wildcard
@@ -40,31 +39,6 @@ class Group:
         self.member_ids = [] if member_ids is None else member_ids
 
 
-class Frozen:
-    """Base of a read-only record: ``__init__`` fills the instance dict with
-    the ``_fields``, and assigning or deleting any attribute afterwards raises
-    ``AttributeError``. A ``functools.cached_property`` still works, since it
-    writes the instance dict directly. Records of one class are equal when
-    their fields are."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
 class Checked:
     """Mixin that validates a ``typing.NamedTuple`` record: ``class
     P(Checked, _PFields)`` defines ``_check``, which raises ``ValueError``
@@ -97,16 +71,16 @@ class EventTemplate(NamedTuple):
         return all(t == WILDCARD or t == o for t, o in zip(self.tokens, tokens))
 
 
-class TemplateSet(Frozen):
+class _TemplateSetFields(NamedTuple):
+    parser_name: str
+    parser_params: dict
+    templates: tuple[EventTemplate, ...] = ()
+
+
+class TemplateSet(_TemplateSetFields):
     """The templates one parser learned from a training corpus, in the order
-    ``fit`` made them; every listing of them keeps this order."""
-
-    _fields = ("parser_name", "parser_params", "templates")
-
-    def __init__(self, parser_name: str, parser_params: dict,
-                 templates: tuple[EventTemplate, ...] = ()):
-        vars(self).update(parser_name=parser_name, parser_params=parser_params,
-                          templates=templates)
+    ``fit`` made them; every listing of them keeps this order. No
+    ``__slots__``: the instance dict holds the cached view."""
 
     @cached_property
     def _by_length(self) -> dict[int, list[EventTemplate]]:

@@ -94,6 +94,25 @@ class TestBuiltWhole:
             model.calib = {}
         assert list(CalibrationModel._fields) == ["template_set", "calib"]
 
+    def test_replace_derives_from_its_own_fields(self):
+        assert TemplateSet._fields == ("parser_name", "parser_params", "templates")
+        ts = template_set([("T1", ("a", "b"))])
+        model = CalibrationModel(template_set=ts, calib={"T1": [0.0]})
+        pair, triple = make_record(1, ["a", "b"]), make_record(2, ["a", "b", "c"])
+        # fill the source's cached views first
+        assert [t.template_id for t in ts.of_length(2)] == ["T1"]
+        assert pvalues_for(model, pair).pvalues == {"T1": 1.0}
+        longer = ts._replace(templates=(EventTemplate("T2", ("a", "b", "c")),))
+        assert longer.of_length(2) == []
+        assert [t.template_id for t in longer.of_length(3)] == ["T2"]
+        assert [t.template_id for t in ts.of_length(2)] == ["T1"]
+        assert pvalues_for(model._replace(calib={"T1": []}), pair).pvalues == {"T1": 0.0}
+        moved = model._replace(template_set=longer, calib={"T2": [0.0]})
+        assert pvalues_for(moved, triple).pvalues == {"T2": 1.0}
+        with pytest.raises(UnknownTemplate):
+            pvalues_for(model._replace(calib={}), pair)
+        assert pvalues_for(model, pair).pvalues == {"T1": 1.0}
+
 
 class TestPValue:
     def test_alpha_below_min(self):

@@ -120,7 +120,7 @@ class TestSynthCorpus:
         assert [r.line_id for r in corpus.records] == [1, 2, 3]
         assert corpus.records[1].content == "b two\x0cthree\x1c \x85 \u2028 x"
         assert corpus.records[2].content == "c \ufffd four"
-        assert corpus.raw_lines[0] == "S1 a one"
+        assert corpus.raw_lines == []
         assert [r.line_id for r in corpus.test_records] == [3]
 
     @pytest.mark.parametrize("labels, split, message", [
@@ -144,6 +144,29 @@ class TestSynthCorpus:
         with pytest.raises(LabelMismatch, match=message):
             load_corpus(log, tmp_path / "labels.csv", tmp_path / "split.csv",
                         compile_schema("<SysId> <Content>"))
+
+    @pytest.mark.parametrize("sidecar, text, first", [
+        ("labels.csv", "1,normal\n2,normal\n3,anomaly\n", "1,normal"),
+        ("split.csv", "1,train\n2,train\n3,test\n", "1,train"),
+        ("labels.csv", "label,line_id\n1,normal\n2,normal\n3,anomaly\n", "label,line_id"),
+        ("split.csv", "line_id,label\n1,train\n2,train\n3,test\n", "line_id,label"),
+        ("labels.csv", "", ""),
+    ], ids=["labels-without-header", "split-without-header", "labels-header-swapped",
+            "split-with-label-header", "empty-labels"])
+    def test_sidecar_header_is_checked(self, tmp_path, sidecar, text, first):
+        log = tmp_path / "corpus.log"
+        log.write_text("S1 a\nS1 a\nS1 b\n", encoding="utf-8")
+        (tmp_path / "labels.csv").write_text("line_id,label\n1,normal\n2,normal\n"
+                                             "3,anomaly\n", encoding="utf-8")
+        (tmp_path / "split.csv").write_text("line_id,part\n1,train\n2,train\n"
+                                            "3,test\n", encoding="utf-8")
+        (tmp_path / sidecar).write_text(text, encoding="utf-8")
+        header = "line_id,label" if sidecar == "labels.csv" else "line_id,part"
+        with pytest.raises(LabelMismatch) as exc:
+            load_corpus(log, tmp_path / "labels.csv", tmp_path / "split.csv",
+                        compile_schema("<SysId> <Content>"))
+        assert str(exc.value) == (f"{tmp_path / sidecar}, line 1: {first!r} "
+                                  f"is not the header {header!r}")
 
 
 class TestScoreMetrics:
