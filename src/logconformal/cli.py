@@ -56,12 +56,13 @@ def _setting(cfg: dict, key: str, given=None, default=None, check=None):
     return given if check is None else check(given, key)
 
 
-def _level(value, what: str):
-    """A significance level: a number in [0, 1], returned unchanged."""
+def _level(value, what: str) -> float:
+    """A significance level: a number in [0, 1], returned as a float, so that
+    ``1`` and ``1.0`` write the same bytes."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not 0.0 <= value <= 1.0:
         raise InvalidSpec(f"{what} must be a number in [0, 1], got {value!r}")
-    return value
+    return float(value)
 
 
 def _count(value, what: str) -> int:
@@ -207,7 +208,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     from . import conformal, detector
     cfg = _load_config(args.config)
-    eps = float(_setting(cfg, "epsilon", args.epsilon, detector.DetectorConfig().epsilon, _level))
+    eps = _setting(cfg, "epsilon", args.epsilon, detector.DetectorConfig().epsilon, _level)
     model_path = _required(cfg, "model", args.model, "model bundle", "model", exists=False)
     input_path = _required(cfg, "test", args.input, "detection input", "input")
     out_path = _setting(cfg, "paths.alarms", args.out, "alarms.jsonl", _output)

@@ -49,24 +49,22 @@ class CalibrationModel(_ModelFields):
         return sum(map(len, self.calib.values()))
 
     @cached_property
-    def _reservoir_classes(self) -> tuple[dict[str, float], set[str], list[EventTemplate]]:
-        """The templates by what their reservoir decides alone: every id
-        mapped to 0.0 in template order, the ids whose reservoir is all zero,
-        and the templates whose reservoir holds a positive score, in template
-        order. Raises :class:`UnknownTemplate` for a template without a
-        reservoir."""
-        zeros, all_zero, scored = {}, set(), []
+    def _reservoir_classes(self) -> tuple[dict[str, float], dict[str, float], list[EventTemplate]]:
+        """The templates by what their reservoir decides alone, from
+        :func:`pvalue`: every id mapped to its p-value above the whole
+        reservoir, in template order; the ids whose reservoir holds no positive
+        score mapped to their p-value at score 0, a positional match's; and the
+        templates whose reservoir holds a positive score, in template order."""
+        floor, at_match, scored = {}, {}, []
         for tmpl in self.template_set.templates:
             tid = tmpl.template_id
-            scores = self.calib.get(tid)
-            if scores is None:
-                raise UnknownTemplate(tid)
-            zeros[tid] = 0.0
-            if scores and scores[-1] == 0.0:
-                all_zero.add(tid)
-            elif scores:
+            floor[tid] = pvalue(self, tid, math.inf)
+            scores = self.calib[tid]
+            if scores and scores[-1] > 0.0:
                 scored.append(tmpl)
-        return zeros, all_zero, scored
+            else:
+                at_match[tid] = pvalue(self, tid, 0.0)
+        return floor, at_match, scored
 
 
 class PValueSet(NamedTuple):
@@ -120,17 +118,17 @@ def pvalues_for(model: CalibrationModel, record) -> PValueSet:
     template order.
 
     Where the reservoir decides the p-value alone the score is not computed:
-    an empty reservoir gives 0, and an all-zero one (sorted and non-negative,
-    so its last score is 0) gives 1 exactly when the score is 0, that is
-    when the template matches the record positionally, which needs the
-    record's length.
+    a reservoir with no positive score (sorted and non-negative, so its last
+    score is 0, or none) gives its p-value at score 0 exactly when the score
+    is 0, that is when the template matches the record positionally, which
+    needs the record's length, and its p-value above every score otherwise.
     """
-    zeros, all_zero, scored = model._reservoir_classes
-    pvalues = zeros.copy()
+    floor, at_match, scored = model._reservoir_classes
+    pvalues = floor.copy()
     tokens = record.tokens
     for tmpl in model.template_set.of_length(len(tokens)):
-        if tmpl.template_id in all_zero and tmpl.matches(tokens):
-            pvalues[tmpl.template_id] = 1.0
+        if tmpl.template_id in at_match and tmpl.matches(tokens):
+            pvalues[tmpl.template_id] = at_match[tmpl.template_id]
     for tmpl in scored:
         pvalues[tmpl.template_id] = pvalue(model, tmpl.template_id,
                                            weighted_score(tmpl.tokens, tokens))

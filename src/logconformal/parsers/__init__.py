@@ -92,8 +92,8 @@ def params_from_dict(parser_name: str, overrides: dict | None):
     """Build a parser's params from config overrides.
 
     Raises :class:`InvalidSpec` for an unknown key, a value whose type
-    differs from the default's (an int is accepted where a float is
-    expected), or a value out of range.
+    differs from the default's (an int is accepted, and stored as a float,
+    where a float is expected), or a value out of range.
     """
     if parser_name not in _PARAMS:
         raise UnknownParser(parser_name)
@@ -113,8 +113,9 @@ def params_from_dict(parser_name: str, overrides: dict | None):
             raise InvalidSpec(f"{parser_name} parameter {key!r} must be "
                               f"{type(default).__name__}, got {value!r}")
     try:
-        return params_cls(**overrides)
-    except ValueError as exc:
+        return params_cls(**{key: float(value) if isinstance(defaults[key], float) else value
+                             for key, value in overrides.items()})
+    except (OverflowError, ValueError) as exc:  # OverflowError: an int no float holds
         raise InvalidSpec(f"{parser_name}: {exc}") from exc
 
 

@@ -46,10 +46,9 @@ class DrainTree:
         # bumped on every new cluster and every template change
         self.version = 0
 
-    def _path_tokens(self, tokens) -> list[str]:
+    def _path_tokens(self, tokens):
         # never key on the final token; it is usually a variable tail
-        usable = max(len(tokens) - 1, 0)
-        return [t for t in tokens[:min(self.lead_levels, usable)]]
+        return tokens[:min(self.lead_levels, len(tokens) - 1)]
 
     def _similarity(self, template, tokens) -> tuple[float, int]:
         same = 0

@@ -4,9 +4,9 @@ Three partitioning passes, each refining the previous one:
 
 1. by token count;
 2. by the token position with the fewest distinct values;
-3. by a position pair whose values co-occur as a bijection (1-1); for 1-M /
-   M-1 relations the single-valued side splits the partition when its
-   cardinality ratio stays below ``lower_bound``.
+3. by a position pair whose values co-occur as a bijection (1-1), or by the
+   M side of a 1-M pair when its cardinality ratio stays at or below
+   ``lower_bound`` (no pair is M-1: the first position has the fewest values).
 
 A partition already dominated by constant positions (fraction of
 single-valued positions at or above ``upper_bound``) is left alone after
@@ -45,8 +45,6 @@ def _distinct_per_position(rows) -> list[set]:
 
 def _apply_support_threshold(buckets, parent_size, threshold):
     """Route under-supported split products into one leftover bucket."""
-    if threshold <= 0.0:
-        return list(buckets)
     kept = []
     leftovers = []
     for bucket in buckets:
@@ -96,10 +94,7 @@ def _step3(rows, lower_bound):
     to_one = all(len(v) == 1 for v in backward.values())
     if one_to and to_one:
         return _split_by_position(rows, p1)
-    lines = _lines(rows)
-    if one_to and len(distinct[p1]) / lines <= lower_bound:
-        return _split_by_position(rows, p1)
-    if to_one and len(distinct[p2]) / lines <= lower_bound:
+    if to_one and len(distinct[p2]) / _lines(rows) <= lower_bound:
         return _split_by_position(rows, p2)
     return [rows]
 

@@ -15,8 +15,6 @@ from ..templates import WILDCARD, Group, ids_by_tokens, merged
 
 def lcs_length(a, b) -> int:
     """Length of the longest common subsequence of two token sequences."""
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for ai in a:
         row = [0]
@@ -42,7 +40,8 @@ def fit_spell(records, *, lcs_threshold: float):
             common = lcs_length(literals, tokens)
             if common > best_len:
                 best, best_len = cand, common
-        if best is not None and best_len >= lcs_threshold * len(tokens):
+        # best is set once best_len > 0, and the threshold is positive
+        if best_len >= lcs_threshold * len(tokens):
             best.template = merged(best.template, tokens)
             group = best
         else:

@@ -121,6 +121,7 @@ class TestTrain:
         {"drain": {"depth": 2}},
         {"drain": 5},
         ["drain"],
+        {"iplom": {"lower_bound": 10 ** 400}},
     ])
     def test_bad_parser_params_is_config_error(self, tmp_path, parsers):
         train = tmp_path / "train.log"
@@ -131,6 +132,24 @@ class TestTrain:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    def test_integer_parameter_writes_the_float_bundle(self, workdir):
+        """A float parameter spelled as an integer is stored as the float, so
+        ``0`` and ``0.0`` train the same bundle bytes."""
+        tmp_path, _ = workdir
+        bundles = []
+        for spelled in (0, 0.0):
+            cfg = _config(tmp_path, parsers={"iplom": {"partition_support_threshold": spelled,
+                                                       "lower_bound": 1}})
+            bundle = tmp_path / f"{spelled!r}.bundle"
+            assert main(["train", "--config", str(cfg), "--model", str(bundle),
+                         "--input", str(tmp_path / "corpus" / "train.log")]) == 0
+            bundles.append(bundle.read_bytes())
+        assert bundles[0] == bundles[1]
+        params = json.loads(bundles[0])["models"][0]["parser_params"]
+        assert params == {"partition_support_threshold": 0.0, "lower_bound": 1.0,
+                          "upper_bound": 0.9}
+        assert all(type(v) is float for v in params.values())
 
     def test_empty_training_file_is_data_error(self, workdir):
         tmp_path, cfg = workdir
@@ -427,6 +446,19 @@ class TestEval:
         rows = report.read_text().splitlines()[1:]
         assert all(row.split(",")[7] == "0.000000" for row in rows)
 
+    def test_integer_grid_writes_the_flags_bytes(self, workdir):
+        """A config grid spelled in integers writes the same report as the
+        same grid given as a flag: every epsilon is a float."""
+        tmp_path, _ = workdir
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        assert main(["eval", "--config", str(_config(tmp_path)), "--grid", "0,1",
+                     "--out", str(by_flag)]) == 0
+        assert main(["eval", "--config", str(_config(tmp_path, grid=[0, 1])),
+                     "--out", str(by_config)]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        assert {row.split(",")[1] for row in by_flag.read_text().splitlines()[1:]} == \
+            {"0.0", "1.0"}
+
     def test_eval_deterministic(self, workdir):
         tmp_path, cfg = workdir
         r1, r2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -690,10 +722,11 @@ def test_three_line_corpus_evaluates(tmp_path):
     ("1,normal\n2,normal\n3,normal\n", "1,train\n2,train\n3,train\n"),
     ("1,normal\n2,normal\n3,anomaly,x\n", "1,train\n2,train\n3,test\n"),
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\ntwo,train\n3,test\n"),
+    ("1,normal\n2,anomaly\n3,anomaly\n", "1,train\n2,train\n3,test\n"),
 ], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log",
         "split-id-repeated", "unknown-label", "label-id-repeated",
         "split-leaves-line-out", "split-without-test-line", "row-with-three-fields",
-        "non-integer-id"])
+        "non-integer-id", "training-line-not-normal"])
 def test_bad_sidecar_is_data_error(tmp_path, labels, split):
     proc = _three_line_eval(tmp_path, labels, split)
     assert proc.returncode == 3, proc.stderr

@@ -134,8 +134,18 @@ class TestSynthCorpus:
          "split.csv, line 3: 'two,train' is not"),
         ("1,normal\n2,normal\n3,anomaly\n99999,anomaly\n", "1,train\n2,train\n3,test\n",
          "label line 99999 is not in .*corpus.log"),
+        ("1,normal\n2,anomaly\n3,anomaly\n", "1,train\n2,train\n3,test\n",
+         "^training line 2 is not normal$"),
+        ("1,normal\n2,normal\n", "1,train\n2,train\n3,test\n",
+         "^test line 3 has no label$"),
+        ("1,normal\n2,normal\n3,anomaly\n", "1,train\n2,train\n3,tset\n",
+         "^split part 'tset' of line 3 is neither 'train' nor 'test'$"),
+        ("1,normal\n2,normal\n3,anomaly\n3,normal\n", "1,train\n2,train\n3,test\n",
+         "^label line 3 appears more than once$"),
     ], ids=["split-leaves-line-out", "split-without-test-line",
-            "row-with-three-fields", "non-integer-id", "label-names-no-line"])
+            "row-with-three-fields", "non-integer-id", "label-names-no-line",
+            "training-line-not-normal", "test-line-without-label",
+            "unknown-split-part", "label-id-repeated"])
     def test_bad_sidecar_names_the_cause(self, tmp_path, labels, split, message):
         log = tmp_path / "corpus.log"
         log.write_text("S1 a\nS1 a\nS1 b\n", encoding="utf-8")
