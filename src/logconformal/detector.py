@@ -71,17 +71,21 @@ def detect_batch(models: list[CalibrationModel], records,
                  cfg: DetectorConfig) -> list[Verdict]:
     """One verdict per record, order preserved.
 
-    A verdict depends only on the record's tokens, so records with equal
-    tokens get the same read-only ``Verdict`` object (p-values and one
-    decision per distinct sequence); callers take the line id from the
-    record. Per-record failures are captured on a fresh verdict's
-    ``error`` field with a fail-closed anomaly label instead of aborting the
-    batch; a failure is never cached, so every record of a failing token
-    sequence is scored again and carries its own error.
+    A verdict depends only on the record's tokens, so p-values and a
+    decision are made once per distinct sequence; records whose decisions
+    are equal (label, ``max_p`` and every parser's prediction list) then
+    share one read-only ``Verdict`` object, and callers take the line id
+    from the record. Every p-value is a non-negative quotient, so equal
+    decisions render the same bytes (-0.0 never meets 0.0). Per-record
+    failures are captured on a fresh verdict's ``error`` field with a
+    fail-closed anomaly label instead of aborting the batch; a failure is
+    never cached or shared, so every record of a failing token sequence is
+    scored again and carries its own error.
     """
     if not models:
         raise NoParsers("no trained models")
     decided: dict[tuple[str, ...], Verdict] = {}
+    distinct: dict[tuple, Verdict] = {}
     verdicts = []
     for rec in records:
         verdict = decided.get(rec.tokens)
@@ -92,7 +96,9 @@ def detect_batch(models: list[CalibrationModel], records,
                 verdict = Verdict(label=ANOMALY, prediction_set={}, max_p=0.0,
                                   error=str(exc))
             else:
-                decided[rec.tokens] = verdict
+                key = (verdict.label, verdict.max_p,
+                       tuple(map(tuple, verdict.prediction_set.values())))
+                verdict = decided[rec.tokens] = distinct.setdefault(key, verdict)
         verdicts.append(verdict)
     return verdicts
 
@@ -118,7 +124,8 @@ def write_alarms(fh, records, verdicts: list[Verdict]) -> int:
     """Write ``render_alarm_line`` of each anomaly record's line id and
     verdict, one per line, and return how many were written.
 
-    Each verdict object is rendered once, for its first alarmed record; its
+    Each verdict object is rendered once, for its first alarmed record, so
+    after :func:`detect_batch` once per distinct alarmed decision; its
     other records' lines are that text with their own id spliced in where
     ``"line_id":<id>,`` stands. No escaped JSON string can hold an unescaped
     ``"line_id":``, so the first match is the key, and ``json.dumps`` writes

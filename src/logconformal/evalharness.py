@@ -270,19 +270,19 @@ def _sidecar_rows(path, header):
 
     Raises :class:`LabelMismatch` naming the file and the 1-based line of a
     first line other than ``header`` or of a row that is not two
-    comma-separated cells with an integer id.
+    comma-separated cells with an id of ASCII digits, as :func:`write_corpus`
+    writes it (``int`` alone would also take a sign, padding, underscores
+    and other scripts' digits).
     """
     rows = Path(path).read_text(encoding="utf-8").splitlines() or [""]
     if rows[0] != header:
         raise LabelMismatch(f"{path}, line 1: {rows[0]!r} is not the header {header!r}")
     for number, row in enumerate(rows[1:], 2):
-        try:
-            text_id, value = row.split(",")
-            line_id = int(text_id)
-        except ValueError:
+        cells = row.split(",")
+        if len(cells) != 2 or not (cells[0].isascii() and cells[0].isdigit()):
             raise LabelMismatch(f"{path}, line {number}: {row!r} is not "
-                                f"'<line id>,<value>' with an integer id") from None
-        yield line_id, value
+                                f"'<line id>,<value>' with an ASCII decimal id")
+        yield int(cells[0]), cells[1]
 
 
 def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> LabeledCorpus:

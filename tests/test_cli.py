@@ -417,7 +417,8 @@ class TestAlarmSplice:
         assert errors == [7, 33]
         assert {rec.tokens for rec, v in alarmed if v.error is None} == {
             ("pump", "ok"), ("totally", "unrelated"), ("valve",)}
-        # the first line of each alarmed sequence, and every error line
+        # the first line of each alarmed decision (the three sequences'
+        # decisions differ), and every error line
         assert calls == [9, 7, 25, 33, 5]
         assert written == "".join(render_alarm_line(rec.line_id, v) + "\n"
                                   for rec, v in alarmed)
@@ -723,10 +724,11 @@ def test_three_line_corpus_evaluates(tmp_path):
     ("1,normal\n2,normal\n3,anomaly,x\n", "1,train\n2,train\n3,test\n"),
     ("1,normal\n2,normal\n3,anomaly\n", "1,train\ntwo,train\n3,test\n"),
     ("1,normal\n2,anomaly\n3,anomaly\n", "1,train\n2,train\n3,test\n"),
+    ("1,normal\n2,normal\n\u0663,anomaly\n", "1,train\n2,train\n3,test\n"),
 ], ids=["test-line-without-label", "unknown-split-part", "split-id-past-log",
         "split-id-repeated", "unknown-label", "label-id-repeated",
         "split-leaves-line-out", "split-without-test-line", "row-with-three-fields",
-        "non-integer-id", "training-line-not-normal"])
+        "non-integer-id", "training-line-not-normal", "id-of-non-ascii-digit"])
 def test_bad_sidecar_is_data_error(tmp_path, labels, split):
     proc = _three_line_eval(tmp_path, labels, split)
     assert proc.returncode == 3, proc.stderr

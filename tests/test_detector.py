@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 
@@ -9,7 +10,7 @@ from logconformal import detector
 from logconformal.conformal import PValueSet, calibrate
 from logconformal.detector import (ANOMALY, NORMAL, DetectorConfig, Verdict,
                                    decide, detect_batch, pvalue_sets_for,
-                                   render_alarm_line)
+                                   render_alarm_line, write_alarms)
 from logconformal.errors import NoParsers
 from logconformal.parsers import fit
 from logconformal.templates import WILDCARD
@@ -282,6 +283,35 @@ class TestDetectBatchPerSequence:
         assert [verdicts[1].error, verdicts[4].error] == [
             "scoring line 11 exploded", "scoring line 14 exploded"]
 
+    def test_equal_decisions_share_one_verdict_object(self):
+        # at epsilon 0.3 "totally unrelated" and "alarm x" alarm at max_p 0.0
+        # with empty sets, "pump ok" and "x ok 1" at max_p 0.25
+        rows = [("totally", "unrelated"), ("alarm", "x"), ("pump", "ok"),
+                ("x", "ok", "1"), ("totally", "unrelated"), ("pump", "ok", "1")]
+        batch = [make_record(10 + i, r) for i, r in enumerate(rows)]
+        cfg = DetectorConfig(epsilon=0.3)
+        verdicts = detect_batch(graded_models(), batch, cfg)
+        assert verdicts == _reference(graded_models(), batch, cfg)
+        assert verdicts[0] is verdicts[1] is verdicts[4]
+        assert verdicts[2] is verdicts[3]
+        assert len({id(v) for v in verdicts}) == 3
+
+    def test_equal_error_verdicts_are_not_shared(self, monkeypatch):
+        bad = {("valve", "shut"), ("alarm", "x")}
+
+        def flaky(models, record):
+            if record.tokens in bad:
+                raise RuntimeError("scoring exploded")
+            return pvalue_sets_for(models, record)
+
+        monkeypatch.setattr(detector, "pvalue_sets_for", flaky)
+        rows = [("valve", "shut"), ("alarm", "x"), ("valve", "shut")]
+        batch = [make_record(10 + i, r) for i, r in enumerate(rows)]
+        verdicts = detect_batch(graded_models(), batch, DetectorConfig(epsilon=0.27))
+        assert verdicts == [Verdict(label=ANOMALY, prediction_set={}, max_p=0.0,
+                                    error="scoring exploded")] * 3
+        assert len({id(v) for v in verdicts}) == 3
+
     def test_patched_module_attributes_run_once_per_sequence(self, monkeypatch):
         # The benchmark's tracer counts calls by patching these attributes;
         # a batch that bypassed them would report zero calls without notice.
@@ -302,6 +332,36 @@ class TestDetectBatchPerSequence:
         verdicts = detect_batch(graded_models(), batch, DetectorConfig(epsilon=0.3))
         assert len(verdicts) == 12
         assert calls == {"decide": 3, "pvalue_sets_for": 3}
+
+
+# token sequences that match no template of graded_models, so that their
+# decisions often coincide
+_ALIEN = st.lists(st.sampled_from(["noise", "zz", "ok", "x"]),
+                  min_size=1, max_size=4).map(tuple)
+
+
+class TestWriteAlarms:
+    @given(st.lists(_TOKENS, max_size=4),
+           st.lists(_ALIEN, min_size=2, max_size=6, unique=True),
+           st.lists(st.integers(min_value=0, max_value=9), max_size=40),
+           st.sampled_from([0.0, 0.1, 0.27, 0.3, 0.5, 1.0]))
+    @example([("pump", "ok", "1")], [("noise",), ("zz", "noise")], [1, 2, 0, 1, 2], 0.3)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_rendering_every_line_on_its_own(self, known, aliens, picks, eps):
+        """Lines whose verdicts are shared are spliced from one render; the
+        bytes equal rendering each alarmed line from its own decision."""
+        models = graded_models()
+        pool = known + aliens
+        batch = [make_record(1 + 997 * i, pool[k % len(pool)])
+                 for i, k in enumerate(picks)]
+        cfg = DetectorConfig(epsilon=eps)
+        out = io.StringIO()
+        alarms = write_alarms(out, batch, detect_batch(models, batch, cfg))
+        expected = [render_alarm_line(rec.line_id, v) + "\n"
+                    for rec, v in zip(batch, _reference(models, batch, cfg))
+                    if v.label == ANOMALY]
+        assert out.getvalue() == "".join(expected)
+        assert alarms == len(expected)
 
 
 class TestAlarmRendering:

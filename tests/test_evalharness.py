@@ -142,10 +142,24 @@ class TestSynthCorpus:
          "^split part 'tset' of line 3 is neither 'train' nor 'test'$"),
         ("1,normal\n2,normal\n3,anomaly\n3,normal\n", "1,train\n2,train\n3,test\n",
          "^label line 3 appears more than once$"),
+        # int() would take each of these ids and file the row under line 2 or 3
+        ("1,normal\n+2,normal\n3,anomaly\n", "1,train\n2,train\n3,test\n",
+         "labels.csv, line 3: '\\+2,normal' is not '<line id>,<value>' with an "
+         "ASCII decimal id$"),
+        ("1,normal\n2,normal\n3,anomaly\n", "1,train\n 2 ,train\n3,test\n",
+         "split.csv, line 3: ' 2 ,train' is not"),
+        ("1,normal\n2,normal\n3,anomaly\n", "1,train\n0_2,train\n3,test\n",
+         "split.csv, line 3: '0_2,train' is not"),
+        ("1,normal\n2,normal\n\u0663,anomaly\n", "1,train\n2,train\n3,test\n",
+         "labels.csv, line 4: '\u0663,anomaly' is not"),
+        ("1,normal\n2,normal\n3\n", "1,train\n2,train\n3,test\n",
+         "labels.csv, line 4: '3' is not"),
     ], ids=["split-leaves-line-out", "split-without-test-line",
             "row-with-three-fields", "non-integer-id", "label-names-no-line",
             "training-line-not-normal", "test-line-without-label",
-            "unknown-split-part", "label-id-repeated"])
+            "unknown-split-part", "label-id-repeated", "id-with-sign",
+            "id-with-spaces", "id-with-underscore", "id-of-non-ascii-digit",
+            "row-with-one-field"])
     def test_bad_sidecar_names_the_cause(self, tmp_path, labels, split, message):
         log = tmp_path / "corpus.log"
         log.write_text("S1 a\nS1 a\nS1 b\n", encoding="utf-8")

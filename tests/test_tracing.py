@@ -55,12 +55,13 @@ def test_dp_runs_are_counted(tracing):
 
 
 def test_detect_renders_through_the_traced_attribute(tracing, tmp_path):
-    # detect renders one line per alarmed token sequence and splices the
-    # rest; that render must still reach the tracer's detector.render
+    # detect renders one line per distinct alarmed decision and splices the
+    # rest; that render must still reach the tracer's detector.render.
+    # "totally unrelated" alarms at max_p 0.0 and "pump ok" at 0.25.
     bundle, log, out = tmp_path / "m.bundle", tmp_path / "in.log", tmp_path / "a.jsonl"
     conformal.save_bundle(graded_models(), compile_schema("<Content>"), bundle)
     log.write_text("totally unrelated\npump ok 1\ntotally unrelated\n"
-                   "alarm x\ntotally unrelated\n", encoding="utf-8")
+                   "pump ok\ntotally unrelated\n", encoding="utf-8")
     tr = tracing.Tracer()
     with tracing.instrument(tr):
         code, _, err = tracing._run_stage(
