@@ -13,8 +13,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .errors import (BundleError, EmptyCorpus, InvalidSpec, LogConformalError,
-                     MalformedFormat, UnknownParser)
+from .errors import BundleError, EmptyCorpus, InvalidSpec, LogConformalError
 from .ingest import (PROFILE_FORMATS, ChainStore, compile_schema, read_log_file,
                      verify_chain)
 
@@ -25,8 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_BUNDLE = 4
-
-_CONFIG_ERRORS = (MalformedFormat, UnknownParser, InvalidSpec)
 
 
 def _load_config(path: str | None) -> dict:
@@ -325,7 +322,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BundleError as exc:

@@ -18,8 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import (BundleError, EmptyCorpus, InvalidSpec, MalformedFormat,
-                     UnknownParser, UnknownTemplate)
+from .errors import BundleError, EmptyCorpus, InvalidSpec, UnknownTemplate
 from .ingest import HeaderSchema, compile_schema
 from .nonconformity import nearest, weighted_score
 from .parsers import params_from_dict
@@ -169,7 +168,7 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     name = doc["parser_name"]
     try:
         params_from_dict(name, doc["parser_params"])
-    except (InvalidSpec, UnknownParser) as exc:
+    except InvalidSpec as exc:
         raise ValueError(f"parser {name!r}: {exc}") from exc
     templates = []
     for template_id, tokens, support in doc["templates"]:
@@ -202,8 +201,9 @@ def _model_from_doc(doc: dict) -> CalibrationModel:
     return model
 
 
-# the encoder ``json.dumps`` builds on each call for these arguments
-_BUNDLE_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the encoder ``json.dumps`` builds on each call for these arguments; the
+# bundle and ``detector``'s alarm lines are written with it
+COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _bundle_chunks(models: list[CalibrationModel], schema: HeaderSchema):
@@ -213,10 +213,10 @@ def _bundle_chunks(models: list[CalibrationModel], schema: HeaderSchema):
     for i, model in enumerate(models):
         if i:
             yield b","
-        yield _BUNDLE_JSON.encode(_model_to_doc(model)).encode()
+        yield COMPACT_JSON.encode(_model_to_doc(model)).encode()
     schema_doc = {"format_template": schema.format_template,
                   "mask_rules": [[p.pattern, repl] for p, repl in schema.mask_rules]}
-    yield b'],"schema":' + _BUNDLE_JSON.encode(schema_doc).encode() + b"}\n"
+    yield b'],"schema":' + COMPACT_JSON.encode(schema_doc).encode() + b"}\n"
 
 
 def save_bundle(models: list[CalibrationModel], schema: HeaderSchema, path) -> None:
@@ -272,6 +272,6 @@ def load_bundle(path) -> tuple[list[CalibrationModel], HeaderSchema]:
         schema = compile_schema(schema_doc["format_template"],
                                 schema_doc.get("mask_rules", []))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
-            MalformedFormat) as exc:  # OverflowError: an int score no float holds
+            InvalidSpec) as exc:  # OverflowError: an int score no float holds
         raise BundleError(f"malformed bundle {path}: {exc}") from exc
     return models, schema

@@ -8,10 +8,9 @@ largest p-value over all parsers is below the level (an empty set counts as
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
-from .conformal import CalibrationModel, PValueSet, pvalues_for
+from .conformal import COMPACT_JSON, CalibrationModel, PValueSet, pvalues_for
 from .errors import NoParsers
 from .templates import Checked
 
@@ -103,10 +102,6 @@ def detect_batch(models: list[CalibrationModel], records,
     return verdicts
 
 
-# the encoder ``json.dumps`` builds on each call for these arguments
-_ALARM_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def render_alarm_line(line_id: int, verdict: Verdict) -> str:
     """Stable line-delimited alarm record for downstream diffing."""
     doc = {
@@ -117,7 +112,7 @@ def render_alarm_line(line_id: int, verdict: Verdict) -> str:
     }
     if verdict.error is not None:
         doc["error"] = verdict.error
-    return _ALARM_JSON.encode(doc)
+    return COMPACT_JSON.encode(doc)
 
 
 def write_alarms(fh, records, verdicts: list[Verdict]) -> int:

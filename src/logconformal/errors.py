@@ -5,10 +5,6 @@ class LogConformalError(Exception):
     """Base class for all library errors."""
 
 
-class MalformedFormat(LogConformalError):
-    """Header format template is unusable (missing <Content>, duplicate fields, ...)."""
-
-
 class UnparsableLine(LogConformalError):
     """A raw line does not match the header schema."""
 
@@ -23,10 +19,6 @@ class AppendFailed(LogConformalError):
 
 class EmptyCorpus(LogConformalError):
     """An operation that needs at least one record got none."""
-
-
-class UnknownParser(LogConformalError):
-    """Parser name is not registered."""
 
 
 class EmptyTemplateSet(LogConformalError):
@@ -46,7 +38,7 @@ class LabelMismatch(LogConformalError):
 
 
 class InvalidSpec(LogConformalError):
-    """A configuration value, corpus spec or parser parameter is invalid or inconsistent."""
+    """An invalid configuration value, header format, mask rule, corpus spec or parser."""
 
 
 class BundleError(LogConformalError):

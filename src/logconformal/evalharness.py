@@ -18,7 +18,7 @@ from .conformal import CalibrationModel, pvalues_for
 from .detector import ANOMALY, NORMAL, label_of
 from .errors import InvalidSpec, LabelMismatch
 from .ingest import (PROFILE_FORMATS, HeaderSchema, LogRecord, compile_schema,
-                     open_log, read_records)
+                     read_log_file, read_records)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def _header(rng: random.Random, profile: CorpusProfile, line_no: int) -> str:
 @dataclass
 class LabeledCorpus:
     """``raw_lines`` holds the generated lines for :func:`write_corpus`; it is
-    empty for a corpus read from files, where nothing reads them."""
+    empty for a corpus read from files, which that refuses."""
 
     records: list[LogRecord]
     labels: dict[int, str]
@@ -238,8 +238,12 @@ def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
     """Write corpus.log plus labels.csv/split.csv sidecars.
 
     train.log and test.log repeat the two slices for direct use with the
-    train and detect commands.
+    train and detect commands. A corpus without one raw line per record, as
+    :func:`load_corpus` returns, raises :class:`InvalidSpec` before any write.
     """
+    if len(corpus.raw_lines) != len(corpus.records):
+        raise InvalidSpec(f"cannot write a corpus of {len(corpus.records)} records "
+                          f"from {len(corpus.raw_lines)} raw lines")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"log": out_dir / "corpus.log", "labels": out_dir / "labels.csv",
@@ -288,9 +292,9 @@ def _sidecar_rows(path, header):
 def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> LabeledCorpus:
     """Rehydrate a corpus written by :func:`write_corpus`.
 
-    The log is read as ``train`` and ``detect`` read theirs (see
-    :func:`~logconformal.ingest.open_log`), so line ids agree with theirs,
-    and without header fields, which no parser and no sweep reads.
+    The log is read by :func:`~logconformal.ingest.read_log_file`, as
+    ``train`` and ``detect`` read theirs, so line ids agree with theirs, and
+    without header fields, which no parser and no sweep reads.
 
     Raises :class:`LabelMismatch` when a sidecar's header or a row is
     malformed, a label is neither ``normal`` nor ``anomaly``, a split part is
@@ -298,8 +302,7 @@ def load_corpus(log_path, labels_path, split_path, schema: HeaderSchema) -> Labe
     appears twice, the split leaves a line out or lists no test line, a test
     line has no label, or a training line is not labeled normal.
     """
-    with open_log(log_path) as fh:
-        records, _ = read_records(fh, schema, on_error="raise", headers=False)
+    records, _ = read_log_file(log_path, schema, on_error="raise")
     labels: dict[int, str] = {}
     for line_id, label in _sidecar_rows(labels_path, "line_id,label"):
         if label not in (NORMAL, ANOMALY):

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import AppendFailed, MalformedFormat, UnparsableLine
+from .errors import AppendFailed, InvalidSpec, UnparsableLine
 
 _FIELD = re.compile(r"<([^<>]+)>")
 
@@ -51,10 +51,9 @@ PROFILE_FORMATS = {
 
 
 class HeaderSchema(NamedTuple):
-    """Compiled header layout: field names, line pattern, masking rules."""
+    """Compiled header layout: line pattern, one group per field, and masking rules."""
 
     format_template: str
-    fields: list[str]
     pattern: re.Pattern
     mask_rules: tuple[tuple[re.Pattern, str], ...] = ()
 
@@ -78,13 +77,13 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
     """
     names = _FIELD.findall(format_template)
     if not names:
-        raise MalformedFormat(f"no <Field> markers in {format_template!r}")
+        raise InvalidSpec(f"no <Field> markers in {format_template!r}")
     if names[-1] != "Content":
-        raise MalformedFormat("last field must be <Content>")
+        raise InvalidSpec("last field must be <Content>")
     if len(set(names)) != len(names):
-        raise MalformedFormat(f"duplicate field names in {format_template!r}")
+        raise InvalidSpec(f"duplicate field names in {format_template!r}")
     if any(not n.strip() for n in names):
-        raise MalformedFormat("empty field name")
+        raise InvalidSpec("empty field name")
 
     regex = ["^"]
     for k, part in enumerate(_FIELD.split(format_template)):
@@ -98,22 +97,22 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
     try:
         pattern = re.compile("".join(regex))
     except re.error as exc:
-        raise MalformedFormat(f"bad field name in {format_template!r}: {exc}") from exc
+        raise InvalidSpec(f"bad field name in {format_template!r}: {exc}") from exc
     compiled_masks = []
     for rule in mask_rules:
         if not (isinstance(rule, (list, tuple)) and len(rule) == 2
                 and all(isinstance(part, str) for part in rule)):
-            raise MalformedFormat(f"bad mask rule {rule!r}: not a pair of "
-                                  f"pattern and replacement strings")
+            raise InvalidSpec(f"bad mask rule {rule!r}: not a pair of "
+                              f"pattern and replacement strings")
         p, repl = rule
         try:
             pat = re.compile(p)
             pat.sub(repl, "")  # parses the replacement's group references
         except (re.error, OverflowError, IndexError) as exc:
-            raise MalformedFormat(f"bad mask rule {rule!r}: {exc}") from exc
+            raise InvalidSpec(f"bad mask rule {rule!r}: {exc}") from exc
         compiled_masks.append((pat, repl))
-    return HeaderSchema(format_template=format_template, fields=names,
-                        pattern=pattern, mask_rules=tuple(compiled_masks))
+    return HeaderSchema(format_template=format_template, pattern=pattern,
+                        mask_rules=tuple(compiled_masks))
 
 
 def _match(line: str, schema: HeaderSchema) -> re.Match:
@@ -149,7 +148,8 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
     """Preprocess an iterable of raw lines, assigning 1-based line ids.
 
     ``on_error="skip"`` drops unparsable lines and counts them;
-    ``on_error="raise"`` aborts on the first one. Returns (records, skipped).
+    ``on_error="raise"`` aborts on the first one; any other value raises
+    ``ValueError``. Returns (records, skipped).
 
     Each record equals :func:`preprocess` of its line. The mask rules run
     once per distinct content, and the records share one object per
@@ -161,6 +161,8 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
     parsers mine templates from the content alone, so only a record bound
     for the chain store needs its header fields.
     """
+    if on_error not in ("skip", "raise"):
+        raise ValueError(f"on_error must be 'skip' or 'raise', got {on_error!r}")
     records: list[LogRecord] = []
     skipped = 0
     # content -> (its first object, its token tuple)
@@ -191,21 +193,18 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
     return records, skipped
 
 
-def open_log(path):
-    """Open a UTF-8 log for reading: invalid bytes replaced, universal newlines."""
-    return open(path, "r", encoding="utf-8", errors="replace")
-
-
-def read_log_file(path, schema: HeaderSchema, headers: bool = False):
-    """Read a UTF-8 log file (invalid bytes replaced), one record per line,
-    skipping and counting unparsable lines.
+def read_log_file(path, schema: HeaderSchema, on_error: str = "skip",
+                  headers: bool = False):
+    """:func:`read_records` of a UTF-8 log file's lines (invalid bytes
+    replaced, universal newlines); every command and ``load_corpus`` read
+    their logs here, so line ids agree.
 
     Header fields are parsed only with ``headers=True``: of the commands,
     only ``train`` with a chain store reads them, to write each record whole
     into the store. Otherwise each record holds :data:`NO_HEADERS`.
     """
-    with open_log(path) as fh:
-        return read_records(fh, schema, headers=headers)
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return read_records(fh, schema, on_error, headers)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +226,7 @@ class VerificationReport(NamedTuple):
 
 _json_str = json.encoder.encode_basestring_ascii
 _u32 = struct.Struct("<I").pack
+_u32_at = struct.Struct("<I").unpack_from
 _u64 = struct.Struct("<Q").pack
 
 # Bounds of the payload caches below. A training log holds few distinct token
@@ -361,39 +361,33 @@ class ChainStore:
                            f"of {len(frame)} bytes")
 
 
-def _frames(data: bytes):
-    """Yield (end offset, index, payload, prev digest, entry digest) per frame.
-
-    Stops before the first frame whose length field is cut short, is too
-    small to hold the fixed fields, or runs past the end of ``data``.
-    """
-    pos = 0
-    while pos + 4 <= len(data):
-        (length,) = struct.unpack_from("<I", data, pos)
-        end = pos + 4 + length
-        if length < 8 + 64 or end > len(data):
-            return
-        (index,) = struct.unpack_from("<Q", data, pos + 4)
-        yield end, index, data[pos + 12:end - 64], data[end - 64:end - 32], data[end - 32:end]
-        pos = end
-
-
 def _scan_chain(data: bytes) -> tuple[VerificationReport, bytes]:
-    """Verify a whole chain file's bytes; also return the last good digest."""
+    """Verify a whole chain file's bytes; also return the last good digest.
+
+    The scan stops at the first frame whose length field is cut short, is
+    too small for the fixed fields or runs past the end of ``data``, or
+    whose index, link or digest is wrong; the chain is valid if it stops at
+    the end of ``data``.
+    """
     from hashlib import sha256
-    index = 0
+    view, size = memoryview(data), len(data)
+    index = pos = 0
     prev = GENESIS_DIGEST
-    end = 0
-    for end, stored_index, payload, prev_digest, entry_digest in _frames(data):
-        expected = _entry_digest(sha256, _u64(stored_index), sha256(payload).digest(),
-                                 prev_digest)
-        if stored_index != index or prev_digest != prev or entry_digest != expected:
-            return VerificationReport(False, index, index), prev
-        prev = entry_digest
+    while pos + 4 <= size:
+        (length,) = _u32_at(data, pos)
+        end = pos + 4 + length
+        if length < 8 + 64 or end > size:
+            break  # a torn or malformed frame, or trailing bytes
+        index8, digest = _u64(index), data[end - 32:end]
+        if data[pos + 4:pos + 12] != index8 or data[end - 64:end - 32] != prev \
+                or digest != _entry_digest(sha256, index8,
+                                           sha256(view[pos + 12:end - 64]).digest(), prev):
+            break
+        prev = digest
         index += 1
-    if end != len(data):  # a torn or malformed frame, or trailing bytes
-        return VerificationReport(False, index, index), prev
-    return VerificationReport(valid=True, first_bad_index=None, entries=index), prev
+        pos = end
+    valid = pos == size
+    return VerificationReport(valid, None if valid else index, index), prev
 
 
 def verify_chain(path) -> VerificationReport:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import importlib
 from typing import NamedTuple
 
-from ..errors import EmptyCorpus, InvalidSpec, UnknownParser
+from ..errors import EmptyCorpus, InvalidSpec
 from ..nonconformity import nearest
 from ..templates import Checked, EventTemplate, TemplateSet
 
@@ -91,12 +91,12 @@ PARSER_NAMES = tuple(_PARAMS)
 def params_from_dict(parser_name: str, overrides: dict | None):
     """Build a parser's params from config overrides.
 
-    Raises :class:`InvalidSpec` for an unknown key, a value whose type
+    Raises :class:`InvalidSpec` for an unknown parser or key, a value whose type
     differs from the default's (an int is accepted, and stored as a float,
     where a float is expected), or a value out of range.
     """
     if parser_name not in _PARAMS:
-        raise UnknownParser(parser_name)
+        raise InvalidSpec(f"unknown parser {parser_name!r} (known: {', '.join(PARSER_NAMES)})")
     params_cls = _PARAMS[parser_name]
     if overrides is None:
         overrides = {}
@@ -126,14 +126,13 @@ def fit(parser_name: str, params, records) -> TemplateSet:
     returns them, each with one support per member line. Deterministic for
     identical inputs.
     """
-    if parser_name not in _PARAMS:
-        raise UnknownParser(parser_name)
+    default = params_from_dict(parser_name, None)  # InvalidSpec for an unknown name
     records = list(records)
     if not records:
         raise EmptyCorpus("no training records")
     if any(not rec.tokens for rec in records):
         raise ValueError("records must be tokenized; found a record with no tokens")
-    params = (params or _PARAMS[parser_name]())._asdict()
+    params = (params or default)._asdict()
     # imported here: loading a bundle needs only the params classes
     miner = getattr(importlib.import_module(f"{__name__}.{parser_name}"),
                     f"fit_{parser_name}")

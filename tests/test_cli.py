@@ -122,6 +122,7 @@ class TestTrain:
         {"drain": 5},
         ["drain"],
         {"iplom": {"lower_bound": 10 ** 400}},
+        {"drian": {}},
     ])
     def test_bad_parser_params_is_config_error(self, tmp_path, parsers):
         train = tmp_path / "train.log"
@@ -132,6 +133,11 @@ class TestTrain:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+        named = next(iter(parsers)) if isinstance(parsers, dict) else "parsers"
+        assert named in proc.stderr
+        if named == "drian":
+            assert proc.stderr == ("error: unknown parser 'drian' "
+                                   "(known: drain, spell, iplom, logcluster)\n")
 
     def test_integer_parameter_writes_the_float_bundle(self, workdir):
         """A float parameter spelled as an integer is stored as the float, so

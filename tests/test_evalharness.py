@@ -103,6 +103,16 @@ class TestSynthCorpus:
         train_lines = paths["train_log"].read_text().splitlines()
         assert train_lines == c.raw_lines[:80]
 
+    def test_write_refuses_a_loaded_corpus(self, tmp_path):
+        """A corpus read from files has no raw lines: writing it would leave
+        blank logs beside full sidecars, so nothing is written."""
+        c = synth_corpus(seed=9, n_train=20, n_test=5, n_anomalies=2)
+        paths = write_corpus(c, tmp_path / "a")
+        back = load_corpus(paths["log"], paths["labels"], paths["split"], c.schema)
+        with pytest.raises(InvalidSpec, match="25 records from 0 raw lines"):
+            write_corpus(back, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
     def test_load_reads_lines_as_train_does(self, tmp_path):
         # \x0c, \x1c, \x85 and \u2028 end a line for str.splitlines() but
         # not for a file read with universal newlines; \xff is invalid UTF-8

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logconformal.errors import AppendFailed, MalformedFormat, UnparsableLine
+from logconformal.errors import AppendFailed, InvalidSpec, UnparsableLine
 from logconformal.ingest import (NO_HEADERS, TOKENS_CACHE_SIZE, ChainedEntry,
-                                 ChainStore, LogRecord, _frames, _record_payload,
+                                 ChainStore, LogRecord, _record_payload,
                                  compile_schema, preprocess, read_log_file,
                                  read_records, verify_chain)
 
@@ -57,11 +57,12 @@ def _reference_pattern(fmt: str) -> str:
 class TestCompileSchema:
     def test_content_only(self):
         schema = compile_schema("<Content>")
-        assert schema.fields == ["Content"]
+        assert list(schema.pattern.groupindex) == ["Content"]
 
     def test_hdfs_style_fields(self):
         schema = compile_schema(HDFS_FORMAT)
-        assert schema.fields == ["Date", "Time", "Pid", "Level", "Component", "Content"]
+        assert list(schema.pattern.groupindex) == \
+            ["Date", "Time", "Pid", "Level", "Component", "Content"]
         rec = preprocess("081109 203518 143 INFO dfs.DataNode$PacketResponder: "
                          "PacketResponder 1 for block blk_38865049064139660 terminating",
                          schema)
@@ -72,7 +73,7 @@ class TestCompileSchema:
 
     def test_iiot_style_with_mask(self):
         schema = compile_schema(IIOT_FORMAT, [(r"\d+", "<*>")])
-        assert len(schema.fields) == 5
+        assert len(schema.pattern.groupindex) == 5
         assert len(schema.mask_rules) == 1
 
     @pytest.mark.parametrize("bad", [
@@ -84,7 +85,7 @@ class TestCompileSchema:
         "< > <Content>",                 # empty field name
     ])
     def test_malformed(self, bad):
-        with pytest.raises(MalformedFormat):
+        with pytest.raises(InvalidSpec):
             compile_schema(bad)
 
     @pytest.mark.parametrize("rule", [
@@ -98,7 +99,7 @@ class TestCompileSchema:
         ("a", r"\g<name>"),              # replacement names a missing group
     ])
     def test_malformed_mask_rule(self, rule):
-        with pytest.raises(MalformedFormat):
+        with pytest.raises(InvalidSpec):
             compile_schema("<Content>", [rule])
 
     @given(st.lists(st.tuples(_SEPARATORS, st.sampled_from(["Date", "Sys", "Id_2"])),
@@ -164,10 +165,24 @@ class TestPreprocess:
         assert skipped == 1
         assert [r.line_id for r in records] == [1, 3]
 
-    def test_read_records_raise_mode(self):
+    def test_read_records_raise_mode(self, tmp_path):
         schema = compile_schema(IIOT_FORMAT)
         with pytest.raises(UnparsableLine):
             read_records(["junk"], schema, on_error="raise")
+        path = tmp_path / "in.log"
+        path.write_text("2019-06-01 12:00:00 SYS1 ETH0 ok\njunk\n", encoding="utf-8")
+        with pytest.raises(UnparsableLine, match="'junk'"):
+            read_log_file(path, schema, on_error="raise")
+
+    @pytest.mark.parametrize("on_error", ["Raise", "ignore", "", None])
+    def test_unknown_on_error_rejected(self, tmp_path, on_error):
+        schema = compile_schema(IIOT_FORMAT)
+        with pytest.raises(ValueError, match="on_error must be 'skip' or 'raise'"):
+            read_records(["junk"], schema, on_error=on_error)
+        path = tmp_path / "in.log"
+        path.write_text("junk\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="on_error must be 'skip' or 'raise'"):
+            read_log_file(path, schema, on_error=on_error)
 
     def test_invalid_utf8_replaced(self, tmp_path):
         path = tmp_path / "weird.log"
@@ -404,10 +419,10 @@ class TestChainStore:
     def test_append_only_digests_stable(self, tmp_path):
         path = tmp_path / "c.bin"
         _store_with_entries(path, 10)
-        before = [digest for *_, digest in _frames(path.read_bytes())]
+        before = [digest for *_, digest in reference_chain.read_frames(path.read_bytes())]
         with ChainStore(path) as store:
             store.append(LogRecord(line_id=11, headers={}, content="x", tokens=("x",)))
-        after = [digest for *_, digest in _frames(path.read_bytes())]
+        after = [digest for *_, digest in reference_chain.read_frames(path.read_bytes())]
         assert after[:10] == before
 
     def test_context_manager_closes_and_keeps_bytes(self, tmp_path):
@@ -446,7 +461,7 @@ class TestChainStore:
             store.append(full._replace(line_id=3))
         report = verify_chain(path)
         assert report.valid and report.entries == 3
-        payload = list(_frames(path.read_bytes()))[-1][2]
+        payload = list(reference_chain.read_frames(path.read_bytes()))[-1][1]
         assert json.loads(payload)["headers"] == {"SysId": "S1"}
 
     def test_reopen_continues_chain(self, tmp_path):
@@ -520,7 +535,7 @@ def test_frames_match_reference_writer(tmp_path_factory, batches):
     expected = reference_chain.frames(records)
     assert (path.read_bytes() if path.exists() else b"") == expected
     assert [e.entry_digest for e in entries] == \
-        [digest for *_, digest in _frames(expected)]
+        [digest for *_, digest in reference_chain.read_frames(expected)]
     assert verify_chain(path).entries == len(records)
 
 
@@ -564,6 +579,48 @@ class _TornWrite(_ShortWrites):
 
 def _pump(i):
     return LogRecord(i + 1, {"SysId": "S1"}, f"pump {i}", ("pump", str(i)))
+
+
+def _damaged_copies(data: bytes):
+    """Every cut of ``data``, every cut followed by 1-9 stray bytes (the
+    first of them a length field that would take the whole tail) and every
+    single-bit flip."""
+    stray = struct.pack("<I", 72) + b"\x00" * 5
+    for n in range(len(data) + 1):
+        yield data[:n]
+        yield data[:n] + stray[:1 + n % 9]
+    for k in range(len(data)):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[k] ^= 1 << bit
+            yield bytes(flipped)
+
+
+def test_damaged_chains_verify_and_reopen_as_the_reference(tmp_path):
+    """``verify_chain`` reports what the reference verifier reports on every
+    damaged copy of a short chain; ``ChainStore`` reopens exactly the valid
+    copies, continues them with the reference writer's bytes and leaves every
+    other copy as it was."""
+    data = reference_chain.frames([_pump(i) for i in range(3)])
+    path = tmp_path / "c.bin"
+    valid = set()
+    for copy in _damaged_copies(data):
+        path.write_bytes(copy)
+        expected = reference_chain.verify(copy)
+        assert tuple(verify_chain(path)) == expected, copy
+        if expected[0]:
+            valid.add(copy)
+            with ChainStore(path) as store:
+                store.append(_pump(expected[2]))
+            assert path.read_bytes() == \
+                reference_chain.frames([_pump(i) for i in range(expected[2] + 1)])
+        else:
+            with pytest.raises(AppendFailed, match=f"at entry {expected[1]}$"):
+                ChainStore(path)
+            assert path.read_bytes() == copy
+    # the empty file and the three whole-frame prefixes, nothing else
+    assert sorted(map(reference_chain.verify, valid)) == \
+        [(True, None, entries) for entries in range(4)]
 
 
 class TestAppendFailures:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logconformal.errors import EmptyCorpus, InvalidSpec, UnknownParser
+from logconformal.errors import EmptyCorpus, InvalidSpec
 from logconformal.parsers import (DrainParams, IPLoMParams, LogClusterParams,
                                   SpellParams, fit, match_record,
                                   params_from_dict)
@@ -116,7 +116,7 @@ class TestFit:
             fit("drain", None, [])
 
     def test_unknown_parser(self):
-        with pytest.raises(UnknownParser):
+        with pytest.raises(InvalidSpec, match="unknown parser 'nope'"):
             fit("nope", None, _corpus([["a"]]))
 
     def test_untokenized_record_rejected(self):
@@ -152,7 +152,8 @@ class TestParamsFromDict:
             params_from_dict(name, overrides)
 
     def test_unknown_parser(self):
-        with pytest.raises(UnknownParser):
+        with pytest.raises(InvalidSpec, match=r"^unknown parser 'nope' "
+                                              r"\(known: drain, spell, iplom, logcluster\)$"):
             params_from_dict("nope", {})
 
     @pytest.mark.parametrize("params, bad", [
