@@ -322,15 +322,10 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BundleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUNDLE
     except (LogConformalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return (EXIT_CONFIG if isinstance(exc, InvalidSpec)
+                else EXIT_BUNDLE if isinstance(exc, BundleError) else EXIT_DATA)
 
 
 if __name__ == "__main__":

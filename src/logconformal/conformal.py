@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import BundleError, EmptyCorpus, InvalidSpec, UnknownTemplate
@@ -70,7 +69,7 @@ class PValueSet(NamedTuple):
     """One p-value per template of a parser's model, for one record."""
 
     parser_name: str
-    pvalues: dict[str, float] = MappingProxyType({})  # read-only: every default shares it
+    pvalues: dict[str, float]
 
     def max_p(self) -> float:
         return max(self.pvalues.values(), default=0.0)

@@ -8,10 +8,6 @@ class LogConformalError(Exception):
 class UnparsableLine(LogConformalError):
     """A raw line does not match the header schema."""
 
-    def __init__(self, line: str):
-        super().__init__(f"line does not match header schema: {line!r}")
-        self.line = line
-
 
 class AppendFailed(LogConformalError):
     """The chain store cannot be opened, or an entry was not written in full."""

@@ -246,26 +246,21 @@ def write_corpus(corpus: LabeledCorpus, out_dir) -> dict[str, Path]:
                           f"from {len(corpus.raw_lines)} raw lines")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {"log": out_dir / "corpus.log", "labels": out_dir / "labels.csv",
-             "split": out_dir / "split.csv", "train_log": out_dir / "train.log",
-             "test_log": out_dir / "test.log"}
-    paths["log"].write_text("\n".join(corpus.raw_lines) + "\n", encoding="utf-8")
-    n_train = len(corpus.train_ids)
-    paths["train_log"].write_text("\n".join(corpus.raw_lines[:n_train]) + "\n",
-                                  encoding="utf-8")
-    test_lines = corpus.raw_lines[n_train:]
-    paths["test_log"].write_text(("\n".join(test_lines) + "\n") if test_lines else "",
-                                 encoding="utf-8")
-    label_rows = [f"{line_id},{corpus.labels[line_id]}"
-                  for line_id in sorted(corpus.labels)]
-    paths["labels"].write_text("line_id,label\n" + "\n".join(label_rows) + "\n",
-                               encoding="utf-8")
-    train = set(corpus.train_ids)
-    split_rows = [f"{line_id},{'train' if line_id in train else 'test'}"
-                  for line_id in sorted(corpus.labels)]
-    paths["split"].write_text("line_id,part\n" + "\n".join(split_rows) + "\n",
-                              encoding="utf-8")
-    return paths
+    n_train, train = len(corpus.train_ids), set(corpus.train_ids)
+    ids = sorted(corpus.labels)
+    files = {  # key -> (path, its lines); a sidecar's header is its first line
+        "log": (out_dir / "corpus.log", corpus.raw_lines),
+        "labels": (out_dir / "labels.csv",
+                   ["line_id,label", *[f"{i},{corpus.labels[i]}" for i in ids]]),
+        "split": (out_dir / "split.csv",
+                  ["line_id,part", *[f"{i},{'train' if i in train else 'test'}"
+                                     for i in ids]]),
+        "train_log": (out_dir / "train.log", corpus.raw_lines[:n_train]),
+        "test_log": (out_dir / "test.log", corpus.raw_lines[n_train:]),
+    }
+    for path, lines in files.values():
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return {key: path for key, (path, _) in files.items()}
 
 
 def _sidecar_rows(path, header):

@@ -115,16 +115,6 @@ def compile_schema(format_template: str, mask_rules=()) -> HeaderSchema:
                         mask_rules=tuple(compiled_masks))
 
 
-def _match(line: str, schema: HeaderSchema) -> re.Match:
-    """The schema's match of one raw line, its line break stripped; raises
-    :class:`UnparsableLine` when the line does not match."""
-    line = line.rstrip("\r\n")
-    m = schema.pattern.match(line)
-    if m is None:
-        raise UnparsableLine(line)
-    return m
-
-
 def _mask(content: str, schema: HeaderSchema) -> tuple[str, ...]:
     """Apply the mask rules to the content, in order, then split it."""
     for pat, repl in schema.mask_rules:
@@ -133,28 +123,25 @@ def _mask(content: str, schema: HeaderSchema) -> tuple[str, ...]:
 
 
 def preprocess(line: str, schema: HeaderSchema, line_id: int = 1) -> LogRecord:
-    """Split a raw line into headers and masked, tokenized content.
-
-    Raises :class:`UnparsableLine` when the line does not match the schema.
-    The unmasked content is kept verbatim on the record.
-    """
-    headers = _match(line, schema).groupdict()
-    content = headers.pop("Content")
-    return LogRecord(line_id, headers, content, _mask(content, schema))
+    """:func:`read_records` of one line with ``on_error="raise"``, under
+    ``line_id``: its headers and its masked, tokenized content."""
+    (record,), _ = read_records((line,), schema, on_error="raise")
+    return record._replace(line_id=line_id)
 
 
 def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
                  headers: bool = True):
-    """Preprocess an iterable of raw lines, assigning 1-based line ids.
+    """Split raw lines into header fields and masked, tokenized content
+    (kept unmasked too), with 1-based line ids. Returns (records, skipped).
 
-    ``on_error="skip"`` drops unparsable lines and counts them;
-    ``on_error="raise"`` aborts on the first one; any other value raises
-    ``ValueError``. Returns (records, skipped).
+    A line that, its line break stripped, does not match the schema's
+    pattern is dropped and counted with ``on_error="skip"`` and raises
+    :class:`UnparsableLine` with ``on_error="raise"``; any other
+    ``on_error`` raises ``ValueError``.
 
-    Each record equals :func:`preprocess` of its line. The mask rules run
-    once per distinct content, and the records share one object per
-    distinct header value, content and token tuple. Both maps hold only
-    objects the records hold and live for this call.
+    The mask rules run once per distinct content, and the records share one
+    object per distinct header value, content and token tuple. Both maps
+    hold only objects the records hold and live for this call.
 
     With ``headers=False`` no header field is parsed: every record holds
     :data:`NO_HEADERS` and otherwise equals the one read with headers. The
@@ -171,11 +158,11 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
     shared: dict[str | tuple[str, ...], str | tuple[str, ...]] = {}
     keep = shared.setdefault
     for line_id, raw in enumerate(lines, 1):
-        try:
-            m = _match(raw, schema)
-        except UnparsableLine:
+        raw = raw.rstrip("\r\n")
+        m = schema.pattern.match(raw)
+        if m is None:
             if on_error == "raise":
-                raise
+                raise UnparsableLine(f"line does not match header schema: {raw!r}")
             skipped += 1
             continue
         if headers:

@@ -120,13 +120,16 @@ def params_from_dict(parser_name: str, overrides: dict | None):
 
 
 def fit(parser_name: str, params, records) -> TemplateSet:
-    """Train one parser on tokenized records.
+    """Train one parser on tokenized records, with its own params class or
+    ``None`` for its defaults; anything else raises :class:`InvalidSpec`.
 
     The miner's groups become templates ``T1..Tk`` in the order the miner
     returns them, each with one support per member line. Deterministic for
     identical inputs.
     """
     default = params_from_dict(parser_name, None)  # InvalidSpec for an unknown name
+    if params is not None and not isinstance(params, type(default)):
+        raise InvalidSpec(f"{parser_name} takes {type(default).__name__}, got {params!r}")
     records = list(records)
     if not records:
         raise EmptyCorpus("no training records")

@@ -34,9 +34,9 @@ class Group:
 
     __slots__ = ("template", "member_ids")
 
-    def __init__(self, template: list[str], member_ids: list[int] | None = None):
+    def __init__(self, template: list[str]):
         self.template = template
-        self.member_ids = [] if member_ids is None else member_ids
+        self.member_ids = []
 
 
 class Checked:

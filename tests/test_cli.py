@@ -14,6 +14,7 @@ import logconformal
 from logconformal import cli, conformal, detector, evalharness, parsers
 from logconformal.cli import main
 from logconformal.detector import ANOMALY, DetectorConfig, render_alarm_line
+from logconformal.errors import BundleError, InvalidSpec, LabelMismatch
 from logconformal.evalharness import IIOT_PROFILE
 from logconformal.ingest import NO_HEADERS, ChainStore, compile_schema
 from logconformal.templates import WILDCARD
@@ -52,6 +53,22 @@ def workdir(tmp_path):
     cfg = _config(tmp_path)
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 0
     return tmp_path, cfg
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InvalidSpec("bad spec"), 2),
+    (BundleError("bad bundle"), 4),
+    (LabelMismatch("bad label row"), 3),
+    (OSError("disk gone"), 3),
+    (ValueError("bad value"), 3),
+])
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code):
+    def failing(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_verify_chain", failing)
+    assert main(["verify-chain", "--store", "unused.chain"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {exc}\n")
 
 
 class TestSynth:

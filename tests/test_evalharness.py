@@ -103,6 +103,31 @@ class TestSynthCorpus:
         train_lines = paths["train_log"].read_text().splitlines()
         assert train_lines == c.raw_lines[:80]
 
+    @pytest.mark.parametrize("profile", [IIOT_PROFILE, HDFS_PROFILE])
+    def test_written_bytes_of_every_file(self, tmp_path, profile):
+        c = synth_corpus(seed=5, n_train=30, n_test=12, n_anomalies=3, profile=profile)
+        ids = sorted(c.labels)
+        expected = {
+            "log": c.raw_lines,
+            "train_log": c.raw_lines[:30],
+            "test_log": c.raw_lines[30:],
+            "labels": ["line_id,label", *[f"{i},{c.labels[i]}" for i in ids]],
+            "split": ["line_id,part", *[f"{i},{'train' if i <= 30 else 'test'}"
+                                        for i in ids]],
+        }
+        paths = write_corpus(c, tmp_path)
+        assert {key: path.name for key, path in paths.items()} == {
+            "log": "corpus.log", "train_log": "train.log", "test_log": "test.log",
+            "labels": "labels.csv", "split": "split.csv"}
+        for key, lines in expected.items():
+            assert paths[key].read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_empty_test_slice_writes_an_empty_test_log(self, tmp_path):
+        c = synth_corpus(seed=5, n_train=10, n_test=0, n_anomalies=0)
+        paths = write_corpus(c, tmp_path)
+        assert paths["test_log"].read_bytes() == b""
+        assert paths["train_log"].read_bytes() == paths["log"].read_bytes()
+
     def test_write_refuses_a_loaded_corpus(self, tmp_path):
         """A corpus read from files has no raw lines: writing it would leave
         blank logs beside full sidecars, so nothing is written."""

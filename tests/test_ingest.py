@@ -216,6 +216,22 @@ def _masked_by_hand(content, rules):
     return tuple(content.split())
 
 
+def _read_by_hand(lines, schema, rules):
+    """A per-line reader written out here: for each line, its record, or the
+    message of the error an unparsable line raises."""
+    out = []
+    for line_id, line in enumerate(lines, 1):
+        line = line.rstrip("\r\n")
+        m = schema.pattern.match(line)
+        if m is None:
+            out.append(f"line does not match header schema: {line!r}")
+            continue
+        headers = m.groupdict()
+        content = headers.pop("Content")
+        out.append(LogRecord(line_id, headers, content, _masked_by_hand(content, rules)))
+    return out
+
+
 class TestReadRecordsMemo:
     @settings(max_examples=300)
     @given(lines=_memo_lines,
@@ -223,12 +239,16 @@ class TestReadRecordsMemo:
            on_error=st.sampled_from(["skip", "raise"]))
     def test_equals_preprocess_of_each_line(self, lines, rules, on_error):
         schema = compile_schema("<SysId> <Content>", rules)
-        expected, errors = [], []
-        for line_id, line in enumerate(lines, 1):
-            try:
-                expected.append(preprocess(line, schema, line_id=line_id))
-            except UnparsableLine as exc:
-                errors.append(str(exc))
+        by_hand = _read_by_hand(lines, schema, rules)
+        for line_id, (line, want) in enumerate(zip(lines, by_hand), 1):
+            if isinstance(want, str):
+                with pytest.raises(UnparsableLine) as exc:
+                    preprocess(line, schema, line_id=line_id)
+                assert str(exc.value) == want
+            else:
+                assert preprocess(line, schema, line_id=line_id) == want
+        expected = [r for r in by_hand if not isinstance(r, str)]
+        errors = [r for r in by_hand if isinstance(r, str)]
         if on_error == "raise" and errors:
             with pytest.raises(UnparsableLine) as exc:
                 read_records(lines, schema, on_error=on_error)

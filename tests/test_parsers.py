@@ -123,6 +123,19 @@ class TestFit:
         with pytest.raises(ValueError):
             fit("drain", None, [make_record(1, [])])
 
+    @pytest.mark.parametrize("name, params, takes", [
+        ("spell", DrainParams(), "SpellParams"),
+        ("drain", {"depth": 4}, "DrainParams"),
+        ("iplom", LogClusterParams(), "IPLoMParams"),
+        ("logcluster", SpellParams(), "LogClusterParams"),
+    ])
+    def test_params_of_another_class_rejected(self, name, params, takes):
+        """Checked before the records are read, so no miner runs: an empty
+        corpus still gets the params error."""
+        for records in (_corpus([["a", "b"]]), []):
+            with pytest.raises(InvalidSpec, match=rf"^{name} takes {takes}, got "):
+                fit(name, params, records)
+
 
 class TestParamsFromDict:
     def test_overrides_applied(self):
