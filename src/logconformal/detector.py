@@ -1,9 +1,9 @@
 """Ensemble verdicts from per-parser p-value sets.
 
 For each parser, template labels whose p-value reaches the significance
-level survive as that parser's prediction set. A record is alarmed when its
-largest p-value over all parsers is below the level (an empty set counts as
-0), the sweep's rule: any surviving label anywhere vouches for normality.
+level survive as that parser's prediction set. The one rule: a record is
+alarmed when :func:`combined` of its parsers' largest p-values (an empty set
+counts as 0) is below the level, by :func:`label_of`; the sweep uses both.
 """
 
 from __future__ import annotations
@@ -42,14 +42,19 @@ def label_of(max_p: float, epsilon: float) -> str:
     return ANOMALY if max_p < epsilon else NORMAL
 
 
+def combined(parser_ps: list[float]) -> float:
+    """The ensemble statistic of one record's per-parser p-values: their max."""
+    if not parser_ps:
+        raise NoParsers("need p-value sets from at least one parser")
+    return max(parser_ps)
+
+
 def decide(psets: list[PValueSet], cfg: DetectorConfig) -> Verdict:
     """Filter each parser's p-values at epsilon and label the record.
 
     The boundary survives: p == epsilon stays in the prediction set. A
     parser's p-values are filtered only when its largest one survives.
     """
-    if not psets:
-        raise NoParsers("need p-value sets from at least one parser")
     eps = cfg.epsilon
     prediction: dict[str, list[tuple[str, float]]] = {}
     tops = []
@@ -58,7 +63,7 @@ def decide(psets: list[PValueSet], cfg: DetectorConfig) -> Verdict:
         tops.append(top)
         prediction[pset.parser_name] = [(tid, p) for tid, p in pset.pvalues.items()
                                         if p >= eps] if top >= eps else []
-    max_p = max(tops)
+    max_p = combined(tops)
     return Verdict(label=label_of(max_p, eps), prediction_set=prediction, max_p=max_p)
 
 

@@ -14,9 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import detector
 from .conformal import CalibrationModel, pvalues_for
 from .detector import ANOMALY, NORMAL, label_of
-from .errors import InvalidSpec, LabelMismatch
+from .errors import InvalidSpec, LabelMismatch, NoParsers
 from .ingest import (PROFILE_FORMATS, HeaderSchema, LogRecord, compile_schema,
                      read_log_file, read_records)
 
@@ -370,11 +371,13 @@ def significance_sweep(models: list[CalibrationModel], corpus: LabeledCorpus,
                        eps_grid=DEFAULT_GRID) -> list[SweepRow]:
     """Evaluate each parser alone and the ensemble at every epsilon.
 
-    A configuration labels a record by ``label_of`` its members' largest
-    p-value, so each distinct token sequence's per-parser maxima are computed
-    once, and test lines are tallied by (maxima, truth) before the grid is
-    walked: every cell costs one pass over the tally, not over the lines.
+    A configuration labels a record by ``label_of`` the ``detector.combined``
+    statistic of its members' per-parser maxima, which are computed once per
+    distinct token sequence; test lines are tallied by (maxima, truth), so
+    every cell costs one pass over the tally. Raises ``NoParsers`` for no models.
     """
+    if not models:
+        raise NoParsers("no trained models")
     # a map of its own, not ``ids_by_tokens``: ``pvalues_for`` takes a record
     max_p_of: dict[tuple[str, ...], tuple[float, ...]] = {}
     tally: Counter[tuple[tuple[float, ...], str]] = Counter()
@@ -393,7 +396,7 @@ def significance_sweep(models: list[CalibrationModel], corpus: LabeledCorpus,
         for eps in eps_grid:
             cells: Counter[tuple[str, str]] = Counter()
             for (max_p, truth), count in tally.items():
-                called = label_of(max((max_p[k] for k in members), default=0.0), eps)
+                called = label_of(detector.combined([max_p[k] for k in members]), eps)
                 cells[called, truth] += count
             metrics = Metrics(tp=cells[ANOMALY, ANOMALY], fp=cells[ANOMALY, NORMAL],
                               fn=cells[NORMAL, ANOMALY], tn=cells[NORMAL, NORMAL])

@@ -110,8 +110,9 @@ class TestDecide:
     @example([{}], 0.0)
     @settings(max_examples=200, deadline=None)
     def test_alarm_iff_every_max_p_is_below_epsilon(self, pvalue_maps, eps):
-        """The sweep's rule: empty sets count as max_p 0, so epsilon 0 never
-        alarms, even a parser without templates."""
+        """The rule of ``combined`` and ``label_of``, which decide and the
+        sweep share: empty sets count as max_p 0, so epsilon 0 never alarms,
+        even a parser without templates."""
         psets = [_pset(f"p{i}", pv) for i, pv in enumerate(pvalue_maps)]
         v = decide(psets, DetectorConfig(epsilon=eps))
         assert (v.label == ANOMALY) == all(ps.max_p() < eps for ps in psets)

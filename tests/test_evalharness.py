@@ -1,12 +1,16 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logconformal import detector
 from logconformal.conformal import calibrate, pvalues_for
-from logconformal.detector import ANOMALY, NORMAL, Verdict
-from logconformal.errors import InvalidSpec, LabelMismatch
+from logconformal.detector import (ANOMALY, NORMAL, DetectorConfig, Verdict,
+                                   decide, detect_batch, label_of,
+                                   pvalue_sets_for)
+from logconformal.errors import InvalidSpec, LabelMismatch, NoParsers
 from logconformal.evalharness import (DEFAULT_GRID, HDFS_PROFILE, IIOT_PROFILE,
                                       LabeledCorpus, Metrics, SweepRow,
                                       load_corpus, render_sweep_csv,
@@ -297,6 +301,24 @@ def _reference_sweep(models, corpus, grid):
     return rows
 
 
+def _graded_corpus() -> LabeledCorpus:
+    """Test lines for :func:`graded_models`, each sequence once normal and
+    once anomalous. Their (drain, spell) maxima are (1, 1), (0.25, 0),
+    (0.25, 1), (0.5, 1), (0.5, 0) and (0, 0), so the max and the min over
+    parsers differ on some lines."""
+    sequences = [("pump", "ok", "1"), ("pump", "ok"), ("pump", "x", "y"),
+                 ("valve", "x"), ("valve", "shut", "x"), ("alarm", "x")]
+    lines = [(tokens, label) for label in (NORMAL, ANOMALY) for tokens in sequences]
+    records = [make_record(i + 1, tokens) for i, (tokens, _) in enumerate(lines)]
+    labels = {i + 1: label for i, (_, label) in enumerate(lines)}
+    return LabeledCorpus(records=records, labels=labels, train_ids=[],
+                         test_ids=sorted(labels), raw_lines=[], schema=None)
+
+
+# the graded reservoirs' fractions, so p == epsilon occurs at 0, 0.25, 0.5 and 1
+GRADED_GRID = (0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0)
+
+
 @pytest.fixture(scope="module")
 def small_run():
     corpus = synth_corpus(seed=11, n_train=1500, n_test=200, n_anomalies=60)
@@ -352,19 +374,57 @@ class TestSweep:
         assert all(a >= b for a, b in zip(precisions, precisions[1:]))
 
     def test_sweep_agrees_with_detector(self, small_run):
-        from logconformal.detector import DetectorConfig, detect_batch
+        """Every configuration's cell at every epsilon counts what
+        ``detect_batch`` of its models labels, for the trained models and for
+        the graded ones."""
+        trained_corpus, trained_models, _ = small_run
+        grid = GRADED_GRID + DEFAULT_GRID
+        for corpus, models in [(trained_corpus, trained_models),
+                               (_graded_corpus(), graded_models())]:
+            rows = significance_sweep(models, corpus, grid)
+            test_labels = {i: corpus.labels[i] for i in corpus.test_ids}
+            configurations = [(m.parser_name, [m]) for m in models]
+            configurations.append(("ensemble", models))
+            for (name, members), eps in product(configurations, grid):
+                verdicts = detect_batch(members, corpus.test_records,
+                                        DetectorConfig(epsilon=eps))
+                direct = score_metrics([(r.line_id, v) for r, v in
+                                        zip(corpus.test_records, verdicts, strict=True)],
+                                       test_labels)
+                swept = next(r.metrics for r in rows
+                             if r.configuration == name and r.epsilon == eps)
+                assert direct == swept, (name, eps)
 
-        corpus, models, rows = small_run
-        verdicts = detect_batch(models, corpus.test_records,
-                                DetectorConfig(epsilon=0.4))
-        test_labels = {i: corpus.labels[i] for i in corpus.test_ids}
-        direct = score_metrics([(r.line_id, v) for r, v in
-                                zip(corpus.test_records, verdicts, strict=True)],
-                               test_labels)
-        swept = next(r.metrics for r in rows
-                     if r.configuration == "ensemble" and r.epsilon == 0.4)
-        assert (direct.tp, direct.fp, direct.fn, direct.tn) == \
-            (swept.tp, swept.fp, swept.fn, swept.tn)
+    def test_decide_and_sweep_combine_through_detector_combined(self, monkeypatch):
+        """With ``detector.combined`` swapped for ``min``, ``decide`` and the
+        sweep's ensemble cells both follow the min over parsers."""
+        models, corpus = graded_models(), _graded_corpus()
+        maxima = {rec.line_id: [pvalues_for(m, rec).max_p() for m in models]
+                  for rec in corpus.test_records}
+        max_rows = significance_sweep(models, corpus, GRADED_GRID)
+        monkeypatch.setattr(detector, "combined", min)
+        for rec, eps in product(corpus.test_records, GRADED_GRID):
+            v = decide(pvalue_sets_for(models, rec), DetectorConfig(epsilon=eps))
+            low = min(maxima[rec.line_id])
+            assert (v.max_p, v.label) == (low, label_of(low, eps))
+        min_rows = significance_sweep(models, corpus, GRADED_GRID)
+        for max_row, min_row in zip(max_rows, min_rows, strict=True):
+            if min_row.configuration != "ensemble":
+                assert min_row == max_row
+                continue
+            called = Counter((label_of(min(maxima[i]), min_row.epsilon), corpus.labels[i])
+                             for i in corpus.test_ids)
+            assert min_row.metrics == Metrics(
+                tp=called[ANOMALY, ANOMALY], fp=called[ANOMALY, NORMAL],
+                fn=called[NORMAL, ANOMALY], tn=called[NORMAL, NORMAL])
+        assert min_rows != max_rows  # the data tells the two rules apart
+
+    @pytest.mark.parametrize("n_test", [20, 0])
+    def test_no_models_rejected(self, n_test):
+        corpus = synth_corpus(seed=1, n_train=50, n_test=n_test,
+                              n_anomalies=min(3, n_test))
+        with pytest.raises(NoParsers):
+            significance_sweep([], corpus, (0.27,))
 
     def test_equals_per_line_reference(self, small_run):
         corpus, models, _ = small_run
