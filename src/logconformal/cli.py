@@ -89,10 +89,12 @@ def _grid(value, what: str) -> tuple[float, ...]:
     return tuple(_level(eps, "grid value") for eps in value)
 
 
-def _schema_part(value, what: str):
-    if not isinstance(value, str if what == "format_template" else list):
-        raise InvalidSpec("format_template must be a string and mask_rules a list")
-    return value
+def _of_type(kind: type, noun: str):
+    def check(value, what: str):
+        if not isinstance(value, kind):
+            raise InvalidSpec(f"{what} must be {noun}, got {value!r}")
+        return value
+    return check
 
 
 def _required(cfg: dict, key: str, given, what: str, flag: str, exists=True) -> str:
@@ -110,9 +112,9 @@ def _schema_from_config(cfg: dict, format_flag: str | None):
     the config names a format template or mask rules; a part left unnamed then
     defaults to the profile's template and to no mask rules."""
     default_fmt, default_rules = PROFILE_FORMATS["iiot"]
-    fmt = _setting(cfg, "format_template", format_flag, check=_schema_part)
+    fmt = _setting(cfg, "format_template", format_flag, check=_of_type(str, "a string"))
     rules = _setting(cfg, "mask_rules", default=default_rules if fmt is None else [],
-                     check=_schema_part)
+                     check=_of_type(list, "a list"))
     return compile_schema(default_fmt if fmt is None else fmt, rules)
 
 

@@ -1,9 +1,9 @@
 """Desk-scale evaluation: corpus synthesis, metrics, significance sweep.
 
-The generator produces labeled corpora with a fixed header layout, a dozen
-or more normal event shapes with variable fields, and three kinds of
-planted anomalies: a file error, a data-completeness check error, and
-structurally mutated lines. Everything is driven by one seed and is
+The generator produces labeled corpora from a profile: its header layout,
+a dozen or more normal event shapes with variable fields, and its planted
+anomalies (for iiot a file error, a data-completeness check error, and
+structurally mutated lines). Everything is driven by one seed and is
 byte-reproducible.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,12 +40,45 @@ class CorpusProfile:
     format_template: str
     mask_rules: tuple[tuple[str, str], ...]
     events: tuple[EventSpec, ...]
+    header: Callable[[random.Random, int], str]  # (rng, line_no) -> header
+    anomaly: Callable[[random.Random, CorpusProfile, int], str]  # ordinal from 1
 
 
 _NOTE_WORDS = tuple(a + b for a in ("ka", "ro", "mi", "ta", "zu", "ne", "lo",
                                     "vi", "sa", "du", "pe", "go", "fi", "nu")
                     for b in ("ra", "mo", "ki", "tu", "ze", "na", "li", "vo",
                               "su", "da", "po", "ge", "fa", "ni"))
+
+
+def _iiot_header(rng: random.Random, line_no: int) -> str:
+    second = line_no % 86400
+    clock = f"{second // 3600:02d}:{second % 3600 // 60:02d}:{second % 60:02d}"
+    return "2019-06-{:02d} {} SYS{} ETH{}".format(
+        1 + line_no // 86400, clock, rng.randint(1, 5), rng.randint(0, 1))
+
+
+def _iiot_anomaly(rng: random.Random, profile: CorpusProfile, ordinal: int) -> str:
+    if ordinal == 1:
+        return "Load {}.ini failed!".format(
+            rng.choice(("cfg", "sys", "net", "core", "link")))
+    if ordinal % 10 == 0:
+        return _mutant_content(rng, profile)
+    return "check data complete failed!"
+
+
+def _hdfs_header(rng: random.Random, line_no: int) -> str:
+    return "081109 {:06d} {} INFO dfs.Node{}:".format(
+        (203518 + line_no) % 1000000, rng.randint(1, 60000), rng.randint(1, 8))
+
+
+def _hdfs_anomaly(rng: random.Random, profile: CorpusProfile, ordinal: int) -> str:
+    if ordinal % 5 == 0:
+        return _mutant_content(rng, profile)
+    return ("10.251.{}.{}:Throw error while serving blk {} from /10.251.{}.{}"
+            .format(rng.randint(0, 255), rng.randint(0, 255),
+                    rng.randint(10 ** 9, 9 * 10 ** 9),
+                    rng.randint(0, 255), rng.randint(0, 255)))
+
 
 IIOT_PROFILE = CorpusProfile(
     "iiot", *PROFILE_FORMATS["iiot"],
@@ -71,6 +105,7 @@ IIOT_PROFILE = CorpusProfile(
         EventSpec(4, "Array {} mirrors volume {}",
                   (("pair", (("AA", "VA"), ("AB", "VB"), ("AC", "VC"))),)),
     ),
+    header=_iiot_header, anomaly=_iiot_anomaly,
 )
 
 HDFS_PROFILE = CorpusProfile(
@@ -104,6 +139,7 @@ HDFS_PROFILE = CorpusProfile(
                   (("int", 10 ** 9, 9 * 10 ** 9), ("int", 0, 255), ("int", 0, 255),
                    ("int", 50010, 50100))),
     ),
+    header=_hdfs_header, anomaly=_hdfs_anomaly,
 )
 
 PROFILES = {"iiot": IIOT_PROFILE, "hdfs": HDFS_PROFILE}
@@ -142,32 +178,6 @@ def _mutant_content(rng: random.Random, profile: CorpusProfile) -> str:
     tokens = _normal_content(rng, profile).split()
     tokens.reverse()
     return "fault trap " + " ".join(tokens)
-
-
-def _anomaly_content(rng: random.Random, profile: CorpusProfile, ordinal: int) -> str:
-    if profile.name == "hdfs":
-        if ordinal % 5 == 0:
-            return _mutant_content(rng, profile)
-        return ("10.251.{}.{}:Throw error while serving blk {} from /10.251.{}.{}"
-                .format(rng.randint(0, 255), rng.randint(0, 255),
-                        rng.randint(10 ** 9, 9 * 10 ** 9),
-                        rng.randint(0, 255), rng.randint(0, 255)))
-    if ordinal == 1:
-        return "Load {}.ini failed!".format(
-            rng.choice(("cfg", "sys", "net", "core", "link")))
-    if ordinal % 10 == 0:
-        return _mutant_content(rng, profile)
-    return "check data complete failed!"
-
-
-def _header(rng: random.Random, profile: CorpusProfile, line_no: int) -> str:
-    second = line_no % 86400
-    clock = f"{second // 3600:02d}:{second % 3600 // 60:02d}:{second % 60:02d}"
-    if profile.name == "hdfs":
-        return "081109 {:06d} {} INFO dfs.Node{}:".format(
-            (203518 + line_no) % 1000000, rng.randint(1, 60000), rng.randint(1, 8))
-    return "2019-06-{:02d} {} SYS{} ETH{}".format(
-        1 + line_no // 86400, clock, rng.randint(1, 5), rng.randint(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +221,17 @@ def synth_corpus(seed: int, n_train: int, n_test: int, n_anomalies: int,
 
     for i in range(n_train):
         line_id = i + 1
-        raw_lines.append(f"{_header(rng, profile, i)} {_normal_content(rng, profile)}")
+        raw_lines.append(f"{profile.header(rng, i)} {_normal_content(rng, profile)}")
         labels[line_id] = NORMAL
 
     anomaly_slots = frozenset(rng.sample(range(n_test), n_anomalies))
     ordinal = 0
     for j in range(n_test):
         line_id = n_train + j + 1
-        header = _header(rng, profile, n_train + j)
+        header = profile.header(rng, n_train + j)
         if j in anomaly_slots:
             ordinal += 1
-            raw_lines.append(f"{header} {_anomaly_content(rng, profile, ordinal)}")
+            raw_lines.append(f"{header} {profile.anomaly(rng, profile, ordinal)}")
             labels[line_id] = ANOMALY
         else:
             raw_lines.append(f"{header} {_normal_content(rng, profile)}")

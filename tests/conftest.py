@@ -32,8 +32,11 @@ def dp_nearest(ts: TemplateSet, record) -> tuple[str, float]:
 
 
 def graded_models() -> list[CalibrationModel]:
-    """Two hand-built models whose reservoirs give p-values strictly between
-    0 and 1 as well as 0 and 1: general, all-zero and empty reservoirs."""
+    """Two hand-built models with general, all-zero and empty reservoirs.
+    Drain's give p-values strictly between 0 and 1 (0.25 and 0.5) as well as
+    0 and 1. Spell's give only 0 and 1: against its ``T1`` template
+    ``pump <*> <*>`` a matching line scores 0, and every other line tried
+    scores 0.8176 or more, above the whole reservoir."""
     specs = {
         "drain": [("T1", ("pump", "ok", WILDCARD), [0.0, 0.0, 0.4, 0.9]),
                   ("T2", ("valve", "shut"), [0.0, 0.6]),

@@ -551,6 +551,9 @@ def test_bad_config_value_is_config_error(tmp_path, command, override):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    schema_keys = {"format_template", "mask_rules"}  # a bad one's message names it alone
+    assert {key for key in schema_keys if key in proc.stderr} == \
+        schema_keys & set(override), proc.stderr
 
 
 @pytest.mark.parametrize("bad", [{"parsers": {"drain": {"depth": 1}}},

@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logconformal import detector
-from logconformal.conformal import calibrate, pvalues_for
+from logconformal.conformal import CalibrationModel, calibrate, pvalues_for
 from logconformal.detector import (ANOMALY, NORMAL, DetectorConfig, Verdict,
                                    decide, detect_batch, label_of,
                                    pvalue_sets_for)
@@ -57,10 +59,14 @@ class TestSynthCorpus:
         assert set(c.labels) == set(c.train_ids) | set(c.test_ids)
 
     def test_deterministic(self):
-        a = synth_corpus(seed=42, n_train=200, n_test=40, n_anomalies=7)
-        b = synth_corpus(seed=42, n_train=200, n_test=40, n_anomalies=7)
-        assert a.raw_lines == b.raw_lines
-        assert a.labels == b.labels
+        """One seed writes the same lines, and a renamed copy of a profile
+        writes its original's: the profile's rules decide, not its name."""
+        for profile in (IIOT_PROFILE, HDFS_PROFILE):
+            a = synth_corpus(seed=42, n_train=200, n_test=40, n_anomalies=7, profile=profile)
+            for twin in (profile, replace(profile, name="copy")):
+                b = synth_corpus(seed=42, n_train=200, n_test=40, n_anomalies=7, profile=twin)
+                assert a.raw_lines == b.raw_lines, (profile.name, twin.name)
+                assert a.labels == b.labels, (profile.name, twin.name)
 
     def test_seed_changes_content(self):
         a = synth_corpus(seed=1, n_train=50, n_test=0, n_anomalies=0)
@@ -72,13 +78,25 @@ class TestSynthCorpus:
         assert all(v == NORMAL for v in c.labels.values())
 
     def test_anomaly_contents_present(self):
-        c = synth_corpus(seed=5, n_train=100, n_test=300, n_anomalies=250)
-        anomalous = [c.records[i - 1].content for i in c.test_ids
-                     if c.labels[i] == ANOMALY]
-        assert any(s == "check data complete failed!" for s in anomalous)
-        assert any(s.startswith("Load ") and s.endswith(".ini failed!")
-                   for s in anomalous)
-        assert any(s.startswith("fault trap ") for s in anomalous)
+        """Every kind of anomaly each profile's rule plants shows up; a
+        failure names the profile and the kind."""
+        kinds = {
+            IIOT_PROFILE: {
+                "completeness": lambda s: s == "check data complete failed!",
+                "file": lambda s: s.startswith("Load ") and s.endswith(".ini failed!"),
+                "mutant": lambda s: s.startswith("fault trap ")},
+            HDFS_PROFILE: {
+                "serving": lambda s: re.fullmatch(r"10\.251\.\d+\.\d+:Throw error while "
+                                                  r"serving blk \d+ from /10\.251\.\d+\.\d+", s),
+                "mutant": lambda s: s.startswith("fault trap ")},
+        }
+        for profile, checks in kinds.items():
+            c = synth_corpus(seed=5, n_train=100, n_test=300, n_anomalies=250,
+                             profile=profile)
+            anomalous = [c.records[i - 1].content for i in c.test_ids
+                         if c.labels[i] == ANOMALY]
+            for kind, check in checks.items():
+                assert any(map(check, anomalous)), (profile.name, kind)
 
     def test_event_variety(self):
         c = synth_corpus(seed=1, n_train=2000, n_test=0, n_anomalies=0)
@@ -315,8 +333,19 @@ def _graded_corpus() -> LabeledCorpus:
                          test_ids=sorted(labels), raw_lines=[], schema=None)
 
 
-# the graded reservoirs' fractions, so p == epsilon occurs at 0, 0.25, 0.5 and 1
+# the graded reservoirs' fractions: p == epsilon occurs at 0, 0.25, 0.5 and 1
+# under graded_models(), and at 1/3 and 2/3 only under _regraded_models()
 GRADED_GRID = (0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0)
+
+
+def _regraded_models() -> list[CalibrationModel]:
+    """:func:`graded_models` with spell's ``T1`` reservoir ``[0.5, 0.85, 1.2]``,
+    so its scores lie on both sides of what the graded lines score against
+    ``pump <*> <*>`` unless they match it: ``pump ok`` and ``alarm x`` 0.8176,
+    ``valve shut x`` 0.8808. Spell's maxima on them are 2/3, 2/3 and 1/3."""
+    drain, spell = graded_models()
+    return [drain, CalibrationModel(template_set=spell.template_set,
+                                    calib={**spell.calib, "T1": [0.5, 0.85, 1.2]})]
 
 
 @pytest.fixture(scope="module")
@@ -376,11 +405,16 @@ class TestSweep:
     def test_sweep_agrees_with_detector(self, small_run):
         """Every configuration's cell at every epsilon counts what
         ``detect_batch`` of its models labels, for the trained models and for
-        the graded ones."""
+        the graded and regraded ones."""
         trained_corpus, trained_models, _ = small_run
         grid = GRADED_GRID + DEFAULT_GRID
+        regraded = _regraded_models()
+        spell_maxima = {pvalues_for(regraded[1], r).max_p()
+                        for r in _graded_corpus().test_records}
+        assert {1 / 3, 2 / 3} <= spell_maxima  # the grid's thirds are met
         for corpus, models in [(trained_corpus, trained_models),
-                               (_graded_corpus(), graded_models())]:
+                               (_graded_corpus(), graded_models()),
+                               (_graded_corpus(), regraded)]:
             rows = significance_sweep(models, corpus, grid)
             test_labels = {i: corpus.labels[i] for i in corpus.test_ids}
             configurations = [(m.parser_name, [m]) for m in models]
