@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import BundleError, EmptyCorpus, InvalidSpec, LogConformalError
 from .ingest import (PROFILE_FORMATS, ChainStore, compile_schema, read_log_file,
-                     verify_chain)
+                     verify_chain, with_headers)
 
 # Each command imports the modules it runs, and calls them through their module
 # attributes, so that a process loads only what its subcommand needs.
@@ -185,17 +185,19 @@ def cmd_train(args) -> int:
     model_path = _setting(cfg, "paths.model", args.model, "model.bundle", _output)
     selection = _parser_selection(cfg)
 
-    records = _trainable(*read_log_file(input_path, schema,
-                                        headers=chain_path is not None))
+    if chain_path is not None and not Path(input_path).is_file():
+        raise InvalidSpec(f"training input {input_path} is not a regular file; "
+                          f"paths.chain reads it twice")
+    records = _trainable(*read_log_file(input_path, schema))
     if not records:
         raise EmptyCorpus(f"no parsable records in {input_path}")
     # a store that fails verification stops train before any fit, and the
-    # records reach the store only once the bundle is written
+    # records reach the store, header fields read again, once the bundle is written
     with nullcontext() if chain_path is None else ChainStore(chain_path) as store:
         models = _train_models(selection, records)
         conformal.save_bundle(models, schema, model_path)
         if store is not None:
-            for rec in records:
+            for rec in with_headers(input_path, schema, records):
                 store.append(rec)
     counts = ", ".join(f"{m.parser_name}={len(m.template_set.templates)}"
                        for m in models)

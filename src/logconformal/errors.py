@@ -10,7 +10,7 @@ class UnparsableLine(LogConformalError):
 
 
 class AppendFailed(LogConformalError):
-    """The chain store cannot be opened, or an entry was not written in full."""
+    """The chain store cannot be opened, an entry was cut short, or a record's line changed."""
 
 
 class EmptyCorpus(LogConformalError):

@@ -145,8 +145,8 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
 
     With ``headers=False`` no header field is parsed: every record holds
     :data:`NO_HEADERS` and otherwise equals the one read with headers. The
-    parsers mine templates from the content alone, so only a record bound
-    for the chain store needs its header fields.
+    parsers mine templates from the content alone; a record bound for the
+    chain store takes its header fields from :func:`with_headers`.
     """
     if on_error not in ("skip", "raise"):
         raise ValueError(f"on_error must be 'skip' or 'raise', got {on_error!r}")
@@ -180,18 +180,36 @@ def read_records(lines, schema: HeaderSchema, on_error: str = "skip",
     return records, skipped
 
 
-def read_log_file(path, schema: HeaderSchema, on_error: str = "skip",
-                  headers: bool = False):
+def read_log_file(path, schema: HeaderSchema, on_error: str = "skip"):
     """:func:`read_records` of a UTF-8 log file's lines (invalid bytes
-    replaced, universal newlines); every command and ``load_corpus`` read
-    their logs here, so line ids agree.
-
-    Header fields are parsed only with ``headers=True``: of the commands,
-    only ``train`` with a chain store reads them, to write each record whole
-    into the store. Otherwise each record holds :data:`NO_HEADERS`.
-    """
+    replaced, universal newlines) without header fields; every command and
+    ``load_corpus`` read their logs here, so line ids agree."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return read_records(fh, schema, on_error, headers)
+        return read_records(fh, schema, on_error, headers=False)
+
+
+def with_headers(path, schema: HeaderSchema, records):
+    """Yield each of ``records``, as :func:`read_log_file` read them from
+    ``path``, with its line's header fields read again. A line that no longer
+    matches the schema or its record's content, or a file that ends before the
+    last record, raises :class:`AppendFailed`; later lines are not read."""
+    pending = iter(records)
+    rec = next(pending, None)
+    if rec is None:
+        return
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line_id, raw in enumerate(fh, 1):
+            if line_id != rec.line_id:
+                continue
+            m = schema.pattern.match(raw.rstrip("\r\n"))
+            fields = m.groupdict() if m else None
+            if fields is None or fields.pop("Content") != rec.content:
+                raise AppendFailed(f"{path}: line {line_id} changed since it was read")
+            yield LogRecord(line_id, fields, rec.content, rec.tokens)
+            rec = next(pending, None)
+            if rec is None:
+                return
+    raise AppendFailed(f"{path}: ends before line {rec.line_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +323,16 @@ class ChainStore:
         written after torn bytes could never verify.
 
         A record read without its header fields (its ``headers`` is
-        :data:`NO_HEADERS`) would chain a payload that lacks them: it raises
-        :class:`AppendFailed` before any byte is written, and the store
-        takes later records as before.
+        :data:`NO_HEADERS`; :func:`with_headers` adds them) would chain a
+        payload that lacks them: it raises :class:`AppendFailed` before any
+        byte is written, and the store takes later records as before.
         """
         if self._failed is not None:
             raise AppendFailed(f"entry {self._failed} failed to append; "
                                f"the store takes no more entries")
         if record.headers is NO_HEADERS:
             raise AppendFailed(f"line {record.line_id} was read without its "
-                               f"header fields; read it with headers=True")
+                               f"header fields; read it through with_headers")
         index = self._next_index
         prev = self._prev_digest
         index8 = _u64(index)

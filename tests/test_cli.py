@@ -16,9 +16,10 @@ from logconformal.cli import main
 from logconformal.detector import ANOMALY, DetectorConfig, render_alarm_line
 from logconformal.errors import BundleError, InvalidSpec, LabelMismatch
 from logconformal.evalharness import IIOT_PROFILE
-from logconformal.ingest import NO_HEADERS, ChainStore, compile_schema
+from logconformal.ingest import NO_HEADERS, ChainStore, compile_schema, read_records
 from logconformal.templates import WILDCARD
 
+import reference_chain
 from conftest import graded_models, make_record
 
 
@@ -938,9 +939,115 @@ def test_only_a_chain_payload_reads_header_fields(workdir, monkeypatch, command,
     seen = _records_by_layer(monkeypatch)
     assert main([command.split()[0], "--config", str(cfg), *argv]) == 0
     assert set(seen) == layers
-    for records in seen.values():
+    for layer, records in seen.items():
         assert records
-        if command == "train with a chain":
+        if layer == "append":
             assert all(type(r.headers) is dict and "SysId" in r.headers for r in records)
         else:
             assert all(r.headers is NO_HEADERS for r in records)
+
+
+def test_chain_holds_the_header_fields_of_the_lines_train_fits(tmp_path, capsys):
+    """``train`` fits on records read without header fields and chains the
+    same records with them, read again: the chain holds exactly the frames of
+    the trainable records read whole, whatever line endings, unparsable or
+    empty lines and invalid bytes the input has."""
+    raw = [b"2019-06-01 00:00:01 SYS1 ETH0 pump 7 ok\r\n",
+           b"garbage\n",  # unparsable
+           b"2019-06-01 00:00:02 SYS2 ETH1 \r\n",  # content masks to nothing
+           b"2019-06-01 00:00:03 SYS3 ETH0 valve \xff open 10.0.0.1:80\r\n",
+           b"2019-06-01 00:00:04 SYS1 ETH2 pump 8 ok"]
+    log = tmp_path / "in.log"
+    log.write_bytes(b"".join(raw))
+    schema = compile_schema(IIOT_PROFILE.format_template, IIOT_PROFILE.mask_rules)
+    lines = [line.decode("utf-8", errors="replace") for line in raw]
+    records = [r for r in read_records(lines, schema, headers=True)[0] if r.tokens]
+    assert [r.line_id for r in records] == [1, 4, 5]
+    assert records[1].headers["SysId"] == "SYS3" and "\ufffd" in records[1].content
+    chain = tmp_path / "audit.chain"
+    assert main(["train", "--config", str(_config(tmp_path, paths={"chain": str(chain)})),
+                 "--input", str(log), "--model", str(tmp_path / "m.bundle")]) == 0
+    assert chain.read_bytes() == reference_chain.frames(records)
+    capsys.readouterr()
+    assert main(["verify-chain", "--store", str(chain)]) == 0
+    assert capsys.readouterr().out == f"chain valid: {len(records)} entries\n"
+
+
+def _train_rewriting_input(tmp_path, monkeypatch, rewrite):
+    """Run ``train`` with a chain on a 50-line log that ``rewrite(lines)``
+    replaces once the bundle is written, before the chain pass reads it.
+    Returns the exit code and the chain path."""
+    out = tmp_path / "corpus"
+    assert main(["synth", "--seed", "1", "--train", "50", "--test", "10",
+                 "--anomalies", "2", "--out", str(out)]) == 0
+    log = out / "train.log"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 50
+    save_bundle = conformal.save_bundle
+
+    def save_then_rewrite(*args, **kwargs):
+        save_bundle(*args, **kwargs)
+        log.write_text("".join(f"{line}\n" for line in rewrite(list(lines))),
+                       encoding="utf-8")
+    monkeypatch.setattr(conformal, "save_bundle", save_then_rewrite)
+    chain = tmp_path / "audit.chain"
+    cfg = _config(tmp_path, paths={"chain": str(chain), "model": str(tmp_path / "m.bundle")})
+    code = main(["train", "--config", str(cfg), "--input", str(log)])
+    return code, chain
+
+
+def _with_line(line_no, text):
+    def rewrite(lines):
+        lines[line_no - 1] = text(lines[line_no - 1])
+        return lines
+    return rewrite
+
+
+@pytest.mark.parametrize("rewrite, message, entries", [
+    (_with_line(7, lambda line: line + " tampered"), "line 7 changed", 6),
+    (_with_line(7, lambda line: "garbage"), "line 7 changed", 6),
+    (lambda lines: lines[:40], "ends before line 41", 40),
+], ids=["content", "unparsable", "cut-short"])
+def test_input_changed_before_the_chain_pass_is_data_error(tmp_path, monkeypatch, capsys,
+                                                           rewrite, message, entries):
+    """A training line that no longer reads as it did when ``train`` fitted
+    on it stops the chain pass with exit 3, naming the input and the line;
+    the entries appended before it stay and verify."""
+    code, chain = _train_rewriting_input(tmp_path, monkeypatch, rewrite)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train.log" in err and message in err, err
+    assert main(["verify-chain", "--store", str(chain)]) == 0
+    assert capsys.readouterr().out == f"chain valid: {entries} entries\n"
+
+
+def test_lines_appended_before_the_chain_pass_are_not_chained(tmp_path, monkeypatch):
+    """A log that grows while ``train`` runs chains the lines it fitted on, and
+    no others: the chain is the one an untouched input gives."""
+    untouched = tmp_path / "untouched"
+    grown = tmp_path / "grown"
+    untouched.mkdir()
+    grown.mkdir()
+    assert _train_rewriting_input(untouched, monkeypatch, lambda lines: lines)[0] == 0
+    extra = "2019-06-01 23:59:59 SYS9 ETH9 late line 5"
+    code, chain = _train_rewriting_input(grown, monkeypatch,
+                                         lambda lines: [*lines, extra, extra])
+    assert code == 0
+    assert chain.read_bytes() == (untouched / "audit.chain").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_chain_needs_a_regular_training_file(tmp_path, monkeypatch, capsys):
+    """``train`` with a chain reads its input twice, so an input that is not a
+    regular file is a configuration error, reported before any read."""
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("input read before the input was checked")
+    monkeypatch.setattr(cli, "read_log_file", forbidden)
+    chain, bundle = tmp_path / "audit.chain", tmp_path / "m.bundle"
+    cfg = _config(tmp_path, paths={"chain": str(chain), "model": str(bundle)})
+    assert main(["train", "--config", str(cfg), "--input", str(fifo)]) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert not chain.exists() and not bundle.exists()
